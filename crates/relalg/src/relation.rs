@@ -213,6 +213,14 @@ impl Relation {
         Ok(Self { schema, tuples })
     }
 
+    /// Adopt a tuple set built from rows of relations over the same
+    /// domains (the join planner's output): arity and domains hold by
+    /// construction, so nothing is re-validated.
+    pub(crate) fn from_parts(schema: RelSchema, tuples: TupleSet) -> Self {
+        debug_assert_eq!(schema.arity(), tuples.arity());
+        Self { schema, tuples }
+    }
+
     /// Adopt an already-built [`TupleSet`], validating arity and domains.
     pub fn from_tuple_set(schema: RelSchema, tuples: TupleSet) -> Result<Self> {
         if tuples.arity() != schema.arity() {
@@ -386,11 +394,6 @@ impl Relation {
         })
     }
 
-    /// Natural join on all common attributes.
-    pub fn natural_join(&self, other: &Self) -> Result<Self> {
-        self.natural_join_on(other, &[])
-    }
-
     /// Theta join `⋈_{A θ B}`: Cartesian product followed by one equality
     /// or non-equality selection between a left and a right attribute.
     /// Equality theta joins are executed as sorted probes.
@@ -409,16 +412,10 @@ impl Relation {
     /// Equi-join keeping **all** columns of both sides: equivalent to
     /// `σ_{a₁=b₁ ∧ …}(self × other)` where each `aᵢ` addresses this
     /// relation and each `bᵢ` the other, but evaluated as a sorted probe
-    /// instead of materializing the product. The evaluator's join planner
-    /// lowers chains of equality selections over products onto this.
-    ///
-    /// When the join key is exactly the leading-column prefix of `other`'s
-    /// scheme, `other`'s canonical row order doubles as the index: all
-    /// matches for a key form one contiguous run found by binary search,
-    /// with no build cost at all. For arbitrary key positions a `u32`
-    /// permutation of `other`'s rows is sorted by the key columns once and
-    /// probed the same way — both paths emit rows in canonical order, so
-    /// the output buffer is adopted without a final sort.
+    /// of `other` (the shared `probe_join` loop) instead of materializing the
+    /// product. [`Relation::theta_join`] lowers equality theta joins onto
+    /// this. Both probe paths emit rows in canonical order, so the output
+    /// buffer is adopted without a final sort.
     pub fn product_on(&self, other: &Self, pairs: &[(Attr, Attr)]) -> Result<Self> {
         if pairs.is_empty() {
             return self.product(other);
@@ -427,45 +424,29 @@ impl Relation {
         let (left_pos, right_pos) = self.join_positions(other, pairs)?;
         let arity = schema.arity();
         let mut rows = Vec::new();
-        let mut key = Vec::with_capacity(left_pos.len());
-        let leading_prefix = right_pos.iter().enumerate().all(|(k, &j)| j == k);
-        if leading_prefix {
-            for t1 in self.tuples.iter() {
-                key.clear();
-                key.extend(left_pos.iter().map(|&i| t1[i]));
-                for t2 in other.tuples.range_iter(other.tuples.prefix_bounds(&key)) {
-                    rows.extend_from_slice(t1);
-                    rows.extend_from_slice(t2);
-                }
-            }
-        } else {
-            let perm = key_perm(&other.tuples, &right_pos);
-            for t1 in self.tuples.iter() {
-                key.clear();
-                key.extend(left_pos.iter().map(|&i| t1[i]));
-                for &p in &perm[perm_bounds(&other.tuples, &perm, &right_pos, &key)] {
-                    rows.extend_from_slice(t1);
-                    rows.extend_from_slice(other.tuples.get(p as usize));
-                }
-            }
-        }
+        probe_join(
+            &other.tuples,
+            &right_pos,
+            self.tuples.len(),
+            |i, key| key.extend(left_pos.iter().map(|&p| self.tuples.get(i)[p])),
+            |i, t2| {
+                rows.extend_from_slice(self.tuples.get(i));
+                rows.extend_from_slice(t2);
+            },
+        );
         Ok(Self {
             schema,
             tuples: TupleSet::from_sorted_rows(arity, rows),
         })
     }
 
-    /// Natural join with additional equality constraints between left and
-    /// right attributes, all evaluated as one sorted probe. The extra
-    /// pairs' columns are both kept (unlike the merged common attributes).
-    pub fn natural_join_on(&self, other: &Self, extra: &[(Attr, Attr)]) -> Result<Self> {
+    /// Natural join on all common attributes, evaluated as one sorted
+    /// probe.
+    pub fn natural_join(&self, other: &Self) -> Result<Self> {
         let common = self.schema.common_attrs(other.schema())?;
         let schema = self.schema.natural_join(other.schema())?;
-        let common_pairs: Vec<(Attr, Attr)> =
-            common.iter().map(|a| (a.clone(), a.clone())).collect();
-        let all_pairs: Vec<(Attr, Attr)> =
-            common_pairs.iter().chain(extra.iter()).cloned().collect();
-        let (left_pos, right_pos) = self.join_positions(other, &all_pairs)?;
+        let pairs: Vec<(Attr, Attr)> = common.iter().map(|a| (a.clone(), a.clone())).collect();
+        let (left_pos, right_pos) = self.join_positions(other, &pairs)?;
         let keep_pos: Vec<usize> = other
             .schema
             .columns()
@@ -482,18 +463,17 @@ impl Relation {
                 tuples: nullary_set(!self.is_empty() && !other.is_empty()),
             });
         }
-        let perm = key_perm(&other.tuples, &right_pos);
         let mut rows = Vec::new();
-        let mut key = Vec::with_capacity(left_pos.len());
-        for t1 in self.tuples.iter() {
-            key.clear();
-            key.extend(left_pos.iter().map(|&i| t1[i]));
-            for &p in &perm[perm_bounds(&other.tuples, &perm, &right_pos, &key)] {
-                let t2 = other.tuples.get(p as usize);
-                rows.extend_from_slice(t1);
-                rows.extend(keep_pos.iter().map(|&i| t2[i]));
-            }
-        }
+        probe_join(
+            &other.tuples,
+            &right_pos,
+            self.tuples.len(),
+            |i, key| key.extend(left_pos.iter().map(|&p| self.tuples.get(i)[p])),
+            |i, t2| {
+                rows.extend_from_slice(self.tuples.get(i));
+                rows.extend(keep_pos.iter().map(|&p| t2[p]));
+            },
+        );
         // Dropping the merged common columns can break canonical order and
         // introduce duplicates; `from_rows` detects the already-sorted
         // common case and sorts/dedups otherwise.
@@ -533,12 +513,50 @@ impl Relation {
 }
 
 /// The 0-ary tuple set: `{()}` when `present`, `{}` otherwise.
-fn nullary_set(present: bool) -> TupleSet {
+pub(crate) fn nullary_set(present: bool) -> TupleSet {
     let mut t = TupleSet::new(0);
     if present {
         t.insert(&[]);
     }
     t
+}
+
+/// The one probe loop behind every equi-join: for each probe row
+/// `i < probes`, whose key `key_of(i, key)` appends, call `emit(i, t)` for
+/// every tuple `t` of `ts` whose projection onto `key_pos` equals it, in
+/// canonical order.
+///
+/// When `key_pos` is exactly `ts`'s leading-column prefix, `ts`'s
+/// canonical row order doubles as the index: all matches for a key form
+/// one contiguous run found by binary search, with no build cost at all.
+/// For other key positions a `u32` permutation of `ts`'s rows is sorted by
+/// the key columns once ([`key_perm`]) and probed the same way.
+pub(crate) fn probe_join(
+    ts: &TupleSet,
+    key_pos: &[usize],
+    probes: usize,
+    key_of: impl Fn(usize, &mut Vec<Oid>),
+    mut emit: impl FnMut(usize, &[Oid]),
+) {
+    let mut key = Vec::with_capacity(key_pos.len());
+    if key_pos.iter().enumerate().all(|(k, &j)| j == k) {
+        for i in 0..probes {
+            key.clear();
+            key_of(i, &mut key);
+            for t in ts.range_iter(ts.prefix_bounds(&key)) {
+                emit(i, t);
+            }
+        }
+    } else {
+        let perm = key_perm(ts, key_pos);
+        for i in 0..probes {
+            key.clear();
+            key_of(i, &mut key);
+            for &p in &perm[perm_bounds(ts, &perm, key_pos, &key)] {
+                emit(i, ts.get(p as usize));
+            }
+        }
+    }
 }
 
 /// A permutation of `ts`'s tuple indices sorted by the projection onto

@@ -511,6 +511,10 @@ struct SelectCompiler<'a> {
     outer_var: &'a str,
     /// Collected FROM aliases (flattened across EXISTS nesting).
     aliases: Vec<(String, TableInfo)>,
+    /// Indexes into `aliases` of the FROM aliases in scope: a nested
+    /// select's aliases go out of scope when it ends, as in the
+    /// interpreter.
+    visible: Vec<usize>,
     /// Non-identity column references to materialize as property joins.
     used: BTreeSet<Resolved>,
     /// Equality constraints between resolved attributes.
@@ -536,8 +540,9 @@ impl SelectCompiler<'_> {
             Some(q) if q == self.outer_var => ("self".to_owned(), self.outer),
             Some(q) => {
                 let (a, t) = self
-                    .aliases
+                    .visible
                     .iter()
+                    .map(|&i| &self.aliases[i])
                     .find(|(a, _)| a == q)
                     .ok_or_else(|| SqlError::UnknownAlias(q.clone()))?;
                 (a.clone(), t)
@@ -547,8 +552,9 @@ impl SelectCompiler<'_> {
                     ("self".to_owned(), self.outer)
                 } else {
                     let matches: Vec<&(String, TableInfo)> = self
-                        .aliases
+                        .visible
                         .iter()
+                        .map(|&i| &self.aliases[i])
                         .filter(|(_, t)| t.has_column(&colref.column))
                         .collect();
                     match matches.as_slice() {
@@ -632,17 +638,21 @@ impl SelectCompiler<'_> {
     /// Gather a (sub)select; returns the resolved projection (`None` for
     /// `SELECT *`).
     fn gather_select(&mut self, select: &Select) -> Result<Option<Resolved>> {
+        let scope = self.visible.len();
         for item in &select.from {
             let info = self.catalog.lookup(&item.table)?.clone();
             self.add_alias(item.name(), info)?;
+            self.visible.push(self.aliases.len() - 1);
         }
         if let Some(w) = &select.where_clause {
             self.gather_condition(w)?;
         }
-        match &select.projection {
-            Projection::Star => Ok(None),
-            Projection::Column(c) => Ok(Some(self.resolve(c)?)),
-        }
+        let projection = match &select.projection {
+            Projection::Star => None,
+            Projection::Column(c) => Some(self.resolve(c)?),
+        };
+        self.visible.truncate(scope);
+        Ok(projection)
     }
 
     /// Assemble the final expression.
@@ -701,6 +711,7 @@ pub fn select_to_expr(
         outer,
         outer_var,
         aliases: Vec::new(),
+        visible: Vec::new(),
         used: BTreeSet::new(),
         eqs: Vec::new(),
         fresh: 0,

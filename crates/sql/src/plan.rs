@@ -21,7 +21,11 @@
 //!    ([`crate::improve`]) as a DAG pass: a key-order-independent cursor
 //!    update's loop collapses into one [`PlanNode::AssignQuery`] node
 //!    holding the parallel expression `par(E)` (Theorem 6.5), evaluated
-//!    once per batch against the flat `TupleSet` kernel;
+//!    once per batch against the flat `TupleSet` kernel. Set-oriented
+//!    updates whose subquery is in the positive fragment compile the
+//!    same way: their values are one `par(E)` evaluation over the
+//!    guarded rows (Section 7's "(A) is a single join query"), grouped
+//!    back into per-row assignments;
 //! 2. **cse** — selector compilation with common-subexpression sharing:
 //!    structurally identical guards and value subqueries (up to cursor
 //!    variable renaming) hash-cons onto one node, so one evaluation
@@ -37,6 +41,7 @@
 //! DAG instead of a separate walker.
 
 use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 use std::sync::{Mutex, OnceLock};
 
 use receivers_core::algebraic::{
@@ -45,18 +50,20 @@ use receivers_core::algebraic::{
 use receivers_core::shard::{certify, ShardConfig, ShardedExecutor, WaveStats};
 use receivers_core::AlgebraicMethod;
 use receivers_objectbase::{
-    ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver, ReceiverSet,
+    ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver, Signature,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval as eval_expr, Bindings};
+use receivers_relalg::par::par;
+use receivers_relalg::typecheck::{infer_schema, rec_params};
 use receivers_relalg::view::DatabaseView;
-use receivers_relalg::Expr;
+use receivers_relalg::{Expr, RelSchema, Relation};
 use receivers_wal::{DurableSink, DurableStore, WalStorage};
 
 use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
-use crate::compile::{compile, CompiledStatement};
+use crate::compile::{compile, select_to_expr, CompiledStatement, SetUpdate};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{Footprint, Write};
@@ -383,7 +390,7 @@ impl<'a> ReadCollector<'a> {
         }
     }
 
-    pub(crate) fn condition(&mut self, cond: &Condition, scopes: &[(String, TableInfo)]) {
+    pub(crate) fn condition(&mut self, cond: &Condition, scopes: &[(&str, &TableInfo)]) {
         match cond {
             Condition::Eq(a, b) | Condition::NotEq(a, b) => {
                 self.column(&a.qualifier, &a.column, scopes);
@@ -404,12 +411,12 @@ impl<'a> ReadCollector<'a> {
         }
     }
 
-    pub(crate) fn select(&mut self, select: &Select, outer_scopes: &[(String, TableInfo)]) {
+    pub(crate) fn select(&mut self, select: &Select, outer_scopes: &[(&str, &TableInfo)]) {
         let mut scopes = outer_scopes.to_vec();
         for item in &select.from {
             self.tables.insert(item.table.clone());
             if let Ok(info) = self.catalog.lookup(&item.table) {
-                scopes.push((item.name().to_owned(), info.clone()));
+                scopes.push((item.name(), info));
             }
         }
         if let Some(w) = &select.where_clause {
@@ -420,19 +427,38 @@ impl<'a> ReadCollector<'a> {
         }
     }
 
-    fn column(&mut self, qualifier: &Option<String>, column: &str, scopes: &[(String, TableInfo)]) {
+    fn column(&mut self, qualifier: &Option<String>, column: &str, scopes: &[(&str, &TableInfo)]) {
         let table: Option<&TableInfo> = match qualifier {
-            Some(q) => scopes.iter().find(|(a, _)| a == q).map(|(_, t)| t),
+            // Innermost binding wins, as in the interpreter.
+            Some(q) => scopes.iter().rev().find(|(a, _)| a == q).map(|(_, t)| *t),
             None => match self.outer {
                 Some(t) if t.has_column(column) => Some(t),
                 _ => scopes
                     .iter()
                     .find(|(_, t)| t.has_column(column))
-                    .map(|(_, t)| t),
+                    .map(|(_, t)| *t),
             },
         };
         if let Some(prop) = table.and_then(|t| t.column_prop(column)) {
             self.reads.insert(prop);
+        }
+    }
+
+    /// Reads of a guard whose row is bound as `var`: the row scope makes
+    /// a reference qualified by the stage variable (`t.Salary`) resolve
+    /// like the unqualified one.
+    fn guard(&mut self, cond: &Condition, var: &str) {
+        match self.outer {
+            Some(t) => self.condition(cond, &[(var, t)]),
+            None => self.condition(cond, &[]),
+        }
+    }
+
+    /// Reads of a value subquery whose row is bound as `var`.
+    fn values(&mut self, select: &Select, var: &str) {
+        match self.outer {
+            Some(t) => self.select(select, &[(var, t)]),
+            None => self.select(select, &[]),
         }
     }
 }
@@ -459,12 +485,12 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
                 PlanNode::Scan { table, .. } => {
                     self.fp.tables.insert(table.clone());
                 }
-                PlanNode::Guard { cond, .. } => {
-                    self.rc.condition(cond, &[]);
+                PlanNode::Guard { var, cond, .. } => {
+                    self.rc.guard(cond, var);
                     self.fp.guard = Some(cond.clone());
                 }
-                PlanNode::Values { select, .. } => {
-                    self.rc.select(select, &[]);
+                PlanNode::Values { var, select, .. } => {
+                    self.rc.values(select, var);
                 }
                 // The improve pass's one-shot `par(E)` node: its reads
                 // are the algebraic query's base property relations —
@@ -513,15 +539,17 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
     fp
 }
 
-/// Properties read by a single condition against `outer` — the guard-only
-/// read set the netting pass compares intermediate writes against.
+/// Properties read by a single condition against `outer`, its row bound
+/// as `var` — the guard-only read set the netting pass compares
+/// intermediate writes against.
 fn condition_reads(
     cond: &Condition,
+    var: &str,
     catalog: &Catalog,
     outer: Option<&TableInfo>,
 ) -> BTreeSet<PropId> {
     let mut rc = ReadCollector::new(catalog, outer);
-    rc.condition(cond, &[]);
+    rc.guard(cond, var);
     rc.reads
 }
 
@@ -738,6 +766,9 @@ pub struct Stage {
     guard_key: Option<String>,
     algebraic: Option<AlgebraicMethod>,
     improved: Option<ImprovedUpdate>,
+    /// Set updates only: the compiled `par(E)` value query, or why the
+    /// subquery stays on the per-row interpreter.
+    values_query: Option<std::result::Result<Expr, String>>,
     shared_selector: bool,
     netted: bool,
     netted_by: Option<usize>,
@@ -852,9 +883,13 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
 
         // Improve pass: an unguarded, key-order-independent cursor update
         // collapses into one vectorized `par(E)` node.
+        let mut values_query = None;
         let (kind, algebraic, improved) = match &compiled {
             CompiledStatement::SetDelete(_) => (StageKind::SetDelete, None, None),
-            CompiledStatement::SetUpdate(_) => (StageKind::SetUpdate, None, None),
+            CompiledStatement::SetUpdate(su) => {
+                values_query = Some(set_values_query(su, catalog));
+                (StageKind::SetUpdate, None, None)
+            }
             CompiledStatement::CursorDelete(_) => (StageKind::CursorDelete, None, None),
             CompiledStatement::CursorUpdate(cu) => {
                 let algebraic = if cu.condition.is_none() {
@@ -912,12 +947,14 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
         };
 
         let footprint = footprint_of(&b.graph, lowered.root, catalog);
-        let outer = catalog.lookup(stmt_table(stmt)).ok().cloned();
-        let guard_reads = footprint
-            .guard
-            .as_ref()
-            .map(|g| condition_reads(g, catalog, outer.as_ref()))
-            .unwrap_or_default();
+        // The guard node may be shared with an earlier stage: read it
+        // with the variable it was lowered under.
+        let guard_reads = match b.graph.node(lowered.rows) {
+            PlanNode::Guard { var, cond, .. } => {
+                condition_reads(cond, var, catalog, catalog.lookup(stmt_table(stmt)).ok())
+            }
+            _ => BTreeSet::new(),
+        };
         stages.push(Stage {
             kind,
             compiled,
@@ -932,6 +969,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             guard_key: lowered.guard_key,
             algebraic,
             improved,
+            values_query,
             shared_selector: lowered.shared,
             netted: false,
             netted_by: None,
@@ -951,6 +989,22 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
     Ok(plan)
 }
 
+/// Compile a set update's value subquery into one `par(E)` query over
+/// the stage's rows: [`select_to_expr`] with the stage variable `t`, then
+/// Definition 6.1, type-checked against the `rec` binding so evaluation
+/// cannot fail where the interpreter would not. `Err` carries the
+/// refusal reason (a `<>` or `not in` atom, an unresolvable name, a
+/// comparison across classes, …); such stages keep the per-row
+/// interpreter.
+fn set_values_query(su: &SetUpdate, catalog: &Catalog) -> std::result::Result<Expr, String> {
+    let (expr, _) =
+        select_to_expr(su.select(), catalog, su.table(), "t").map_err(|e| e.to_string())?;
+    let query = par(&expr).map_err(|e| e.to_string())?;
+    let sig = Signature::new(vec![su.table().class]).map_err(|e| e.to_string())?;
+    infer_schema(&query, &catalog.schema, &rec_params(&sig)).map_err(|e| e.to_string())?;
+    Ok(query)
+}
+
 fn stmt_table(stmt: &SqlStatement) -> &str {
     match stmt {
         SqlStatement::Delete { table, .. }
@@ -966,16 +1020,16 @@ fn compute_node_reads(graph: &PlanGraph, catalog: &Catalog) -> Vec<BTreeSet<Prop
     for id in 0..graph.len() {
         let set = match &graph.nodes[id] {
             PlanNode::Scan { .. } => BTreeSet::new(),
-            PlanNode::Guard { input, cond, .. } => {
+            PlanNode::Guard { input, var, cond } => {
                 let outer = scan_table_info(graph, *input, catalog);
                 let mut s = reads[input.0].clone();
-                s.append(&mut condition_reads(cond, catalog, outer));
+                s.append(&mut condition_reads(cond, var, catalog, outer));
                 s
             }
-            PlanNode::Values { rows, select, .. } => {
+            PlanNode::Values { rows, var, select } => {
                 let outer = scan_table_info(graph, *rows, catalog);
                 let mut rc = ReadCollector::new(catalog, outer);
-                rc.select(select, &[]);
+                rc.values(select, var);
                 let mut s = reads[rows.0].clone();
                 s.append(&mut rc.reads);
                 s
@@ -1220,6 +1274,10 @@ fn netting_cover_proof(
 // The vectorized executor.
 // ---------------------------------------------------------------------
 
+/// A set update's `(row, sorted values)` assignments, shared between
+/// the cache and its readers.
+type Assignments = Rc<[(Oid, Vec<Oid>)]>;
+
 /// Per-execution lazy evaluation cache over the DAG: selector and values
 /// nodes evaluate once per batch and are reused by every stage sharing
 /// the node, until a write invalidates them. Soundness of reuse: a
@@ -1229,8 +1287,9 @@ fn netting_cover_proof(
 /// evicts exactly the entries reading `p`).
 struct ExecCache<'p> {
     plan: &'p ProgramPlan,
-    rows: HashMap<NodeId, Vec<Oid>>,
-    values: HashMap<NodeId, Vec<(Oid, Vec<Oid>)>>,
+    /// Cached results are shared, never copied, on a hit.
+    rows: HashMap<NodeId, Rc<[Oid]>>,
+    values: HashMap<NodeId, Assignments>,
     /// Local mirror of `sql.plan.selector_reuses` for this execution
     /// only — the global counter is shared across threads, so a profiler
     /// diffs these instead.
@@ -1252,7 +1311,7 @@ impl<'p> ExecCache<'p> {
 
     /// The rows a selector node produces against the current instance
     /// (class-member order, as the two-phase set statements enumerate).
-    fn rows(&mut self, id: NodeId, instance: &Instance) -> Result<Vec<Oid>> {
+    fn rows(&mut self, id: NodeId, instance: &Instance) -> Result<Rc<[Oid]>> {
         match self.plan.graph.node(id) {
             PlanNode::Scan { table, class } => {
                 // Membership is never cached: it is cheap to enumerate
@@ -1264,7 +1323,7 @@ impl<'p> ExecCache<'p> {
                 if let Some(cached) = self.rows.get(&id) {
                     C_SELECTOR_REUSES.incr();
                     self.hits += 1;
-                    return Ok(cached.clone());
+                    return Ok(Rc::clone(cached));
                 }
                 let base = self.rows(*input, instance)?;
                 C_SELECTOR_EVALS.incr();
@@ -1272,7 +1331,7 @@ impl<'p> ExecCache<'p> {
                 let info = scan_table_info(&self.plan.graph, *input, &self.plan.catalog)
                     .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
                 let mut out = Vec::with_capacity(base.len());
-                for &t in &base {
+                for &t in base.iter() {
                     let scopes: Scopes<'_> = vec![Binding {
                         alias: var.clone(),
                         table: info,
@@ -1282,19 +1341,23 @@ impl<'p> ExecCache<'p> {
                         out.push(t);
                     }
                 }
-                self.rows.insert(id, out.clone());
+                let out: Rc<[Oid]> = out.into();
+                self.rows.insert(id, Rc::clone(&out));
                 Ok(out)
             }
             _ => Err(SqlError::Unsupported("not a selector node".to_owned())),
         }
     }
 
-    /// The `(row, values)` assignments a values node produces.
-    fn values(&mut self, id: NodeId, instance: &Instance) -> Result<Vec<(Oid, Vec<Oid>)>> {
+    /// The `(row, sorted values)` assignments of a set update's values
+    /// node: one `par(E)` evaluation over the guarded rows against `db`
+    /// when the stage compiled one, the per-row interpreter otherwise.
+    fn values(&mut self, stage: &Stage, instance: &Instance, db: &Database) -> Result<Assignments> {
+        let id = stage.values.expect("set updates have a values node");
         if let Some(cached) = self.values.get(&id) {
             C_SELECTOR_REUSES.incr();
             self.hits += 1;
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
         let PlanNode::Values { rows, var, select } = self.plan.graph.node(id) else {
             return Err(SqlError::Unsupported("not a values node".to_owned()));
@@ -1305,18 +1368,36 @@ impl<'p> ExecCache<'p> {
         let info = scan_table_info(&self.plan.graph, *rows, &self.plan.catalog)
             .ok_or_else(|| SqlError::Unsupported("unresolved scan in plan".to_owned()))?;
         let mut out = Vec::with_capacity(base.len());
-        for &t in &base {
-            let scopes: Scopes<'_> = vec![Binding {
-                alias: var.clone(),
-                table: info,
-                tuple: t,
-            }];
-            out.push((
-                t,
-                eval_select(select, &scopes, &self.plan.catalog, instance)?,
-            ));
+        if let Some(Ok(query)) = &stage.values_query {
+            // `base` and the pairs are both in ascending row order: one
+            // merge groups each row's (ascending, distinct) values.
+            let pairs = par_pairs(query, info.class, &base, db)?;
+            let mut k = 0;
+            for &t in base.iter() {
+                while k < pairs.len() && pairs[k].0 < t {
+                    k += 1;
+                }
+                let start = k;
+                while k < pairs.len() && pairs[k].0 == t {
+                    k += 1;
+                }
+                out.push((t, pairs[start..k].iter().map(|&(_, v)| v).collect()));
+            }
+        } else {
+            for &t in base.iter() {
+                let scopes: Scopes<'_> = vec![Binding {
+                    alias: var.clone(),
+                    table: info,
+                    tuple: t,
+                }];
+                out.push((
+                    t,
+                    eval_select(select, &scopes, &self.plan.catalog, instance)?,
+                ));
+            }
         }
-        self.values.insert(id, out.clone());
+        let out: Assignments = out.into();
+        self.values.insert(id, Rc::clone(&out));
         Ok(out)
     }
 
@@ -1373,6 +1454,11 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
     if stage.shared_selector {
         n.add_note("selector shared with an earlier stage (cse)");
     }
+    match &stage.values_query {
+        Some(Ok(_)) => n.add_note("values: one par(E) evaluation"),
+        Some(Err(why)) => n.add_note(format!("values: per-row interpreter ({why})")),
+        None => {}
+    }
     n
 }
 
@@ -1428,6 +1514,27 @@ fn cursor_order(stage: &Stage, instance: &Instance) -> Vec<Receiver> {
 /// `(receiver, value)` assignment pairs.
 type ImprovedPairs = (BTreeSet<Oid>, Vec<(Oid, Oid)>);
 
+/// One vectorized `par(E)` evaluation: `rec` bound to the unary receivers
+/// `rows` of `class`, `query` evaluated once against `db` through the
+/// flat `TupleSet` kernel, its `(receiver, value)` pairs returned in
+/// canonical order. The kernel call site of both improved and set-update
+/// stages.
+fn par_pairs(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Result<Vec<(Oid, Oid)>> {
+    let rec = Relation::from_tuples(
+        RelSchema::unary("self", class),
+        rows.iter().map(std::slice::from_ref),
+    )?;
+    let mut bindings = Bindings::new();
+    bindings.bind("rec", rec);
+    let rel = eval_expr(query, db, &bindings)?;
+    // Scheme is (self, value); a value that is the row itself (`a :=
+    // self`, `set c = (select EmpId …)`) leaves a unary result.
+    Ok(match rel.schema().arity() {
+        1 => rel.tuples().map(|t| (t[0], t[0])).collect(),
+        _ => rel.tuples().map(|t| (t[0], t[1])).collect(),
+    })
+}
+
 impl ProgramPlan {
     /// The resolved target property of an update stage.
     fn stage_prop(&self, stage: &Stage) -> Result<PropId> {
@@ -1456,16 +1563,9 @@ impl ProgramPlan {
         };
         let rows = cache.rows(stage.scan, instance)?;
         C_VECTORIZED_ROWS.add(rows.len() as u64);
-        let receivers: ReceiverSet = rows.iter().map(|&t| Receiver::new(vec![t])).collect();
-        let bindings = Bindings::for_receiver_set(imp.method.signature_ref(), &receivers)?;
-        let rel = eval_expr(query, db, &bindings)?;
-        // Scheme is (self, value); the degenerate `a := self` statement
-        // leaves a unary result (see `receivers_core::parallel`).
-        let pairs: Vec<(Oid, Oid)> = match rel.schema().arity() {
-            1 => rel.tuples().map(|t| (t[0], t[0])).collect(),
-            _ => rel.tuples().map(|t| (t[0], t[1])).collect(),
-        };
-        Ok((rows.into_iter().collect(), pairs))
+        let class = imp.method.signature_ref().receiving_class();
+        let pairs = par_pairs(query, class, &rows, db)?;
+        Ok((rows.iter().copied().collect(), pairs))
     }
 
     /// Run a cursor delete's ordered loop: guard re-evaluated per
@@ -1572,8 +1672,7 @@ impl ProgramPlan {
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::SetUpdate => {
-                let values = stage.values.expect("set updates have a values node");
-                let assigns = cache.values(values, instance)?;
+                let assigns = cache.values(stage, instance, view.database())?;
                 C_VECTORIZED_ROWS.add(assigns.len() as u64);
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
@@ -1770,8 +1869,7 @@ impl ProgramPlan {
                     InPlaceOutcome::Applied
                 }
                 StageKind::SetUpdate => {
-                    let values = stage.values.expect("set updates have a values node");
-                    let assigns = cache.values(values, instance)?;
+                    let assigns = cache.values(stage, instance, view.database())?;
                     C_VECTORIZED_ROWS.add(assigns.len() as u64);
                     meter.rows_in += assigns.len() as u64;
                     meter.rows_out += assigns.len() as u64;
@@ -2137,6 +2235,27 @@ mod tests {
             CompiledStatement::SetUpdate(su) => su,
             _ => panic!("{text} should compile to a set update"),
         }
+    }
+
+    /// A subquery naming an alias outside the nested select that
+    /// declares it is an error for the interpreter, so the compiler
+    /// must refuse it too: the stage stays on the per-row interpreter
+    /// and fails exactly as the per-statement path does.
+    #[test]
+    fn out_of_scope_alias_keeps_the_interpreter() {
+        const TEXT: &str = "update Employee set Salary = (select New from NewSal where \
+             exists (select * from Employee E1 where E1.EmpId = Manager) and Old = E1.Salary)";
+        let (es, catalog) = employee_catalog();
+        let plan = compile_program(&program(&[TEXT]), &catalog).unwrap();
+        assert!(matches!(
+            &plan.stages()[0].values_query,
+            Some(Err(why)) if why.contains("E1")
+        ));
+        let (i0, _) = section7_instance(&es);
+        assert!(set_update(TEXT, &catalog).apply(&i0).is_err());
+        let mut i = i0.clone();
+        let mut view = DatabaseView::new(&i);
+        assert!(plan.execute_viewed(&mut i, &mut view).is_err());
     }
 
     /// The improve pass collapses the paper's cursor update (B) into one

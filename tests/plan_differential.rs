@@ -20,9 +20,14 @@
 //!   logged run — both bit-identical to the legacy result.
 //!
 //! The planner passes are exercised *as optimizations must be*: netted
-//! stages are skipped, shared selectors are hash-consed and reused, and
-//! improvable cursor updates run as one vectorized `par(E)` stage — all
-//! without an observable difference from the one-at-a-time semantics.
+//! stages are skipped, shared selectors are hash-consed and reused,
+//! improvable cursor updates run as one vectorized `par(E)` stage, and
+//! set updates evaluate their value subquery as one `par(E)` query (or on
+//! the per-row interpreter when it has `<>`/`not in`) — all without an
+//! observable difference from the one-at-a-time semantics. A dedicated
+//! test drives each set-update subquery shape (uncorrelated, correlated,
+//! the two-table correlated (C), and the interpreter fallbacks), unguarded
+//! and guarded, through every driver on a sweep of instances.
 //! The sweep closes with counter-backed non-vacuity asserts (every pass
 //! must actually have fired), and two deterministic property tests pin
 //! the CSE and netting contracts directly.
@@ -105,6 +110,36 @@ const GUARDS: &[&str] = &[
     "Salary not in table Fire",
     "Manager = EmpId",
     "exists (select * from NewSal where Old = Salary)",
+];
+
+/// Set-update value subqueries, one per shape: uncorrelated,
+/// correlated and the two-table correlated (C), all compiled to one
+/// `par(E)` query; then two with a negative atom (`not in`, `<>`) and one
+/// comparing across domains, which stay on the per-row interpreter.
+/// `(column, subquery, compiles to par(E))`.
+const SET_SUBQUERIES: &[(&str, &str, bool)] = &[
+    (
+        "Manager",
+        "select E1.EmpId from Employee E1 where E1.Manager = E1.EmpId",
+        true,
+    ),
+    ("Salary", "select New from NewSal where Old = Salary", true),
+    (
+        "Salary",
+        "select New from Employee E1, NewSal where E1.EmpId = Manager and Old = E1.Salary",
+        true,
+    ),
+    (
+        "Salary",
+        "select New from NewSal where Old = Salary and Old not in table Fire",
+        false,
+    ),
+    (
+        "Manager",
+        "select E1.EmpId from Employee E1 where E1.Manager <> E1.EmpId",
+        false,
+    ),
+    ("Salary", "select New from NewSal where Old = EmpId", false),
 ];
 
 /// One random statement. The pool spans every [`StageKind`]: set deletes,
@@ -258,19 +293,25 @@ fn assert_identical(got: &Instance, want: &Instance, seed: u64, label: &str) {
 
 /// One full differential trial for `seed`.
 fn run_program(seed: u64) {
-    let mut banner = ReplayBanner {
-        seed,
-        program: Vec::new(),
-    };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7E57_91A7_0DA6_5EED);
-    let (es, catalog) = employee_catalog();
+    let (es, _) = employee_catalog();
     let (texts, stmts) = random_program(&mut rng);
-    banner.program = texts;
     let i0 = random_instance(&es, &mut rng);
+    check_program(seed, texts, &stmts, &i0);
+}
 
-    let plan = compile_program(&stmts, &catalog)
+/// Run `stmts` on `i0` through every compiled-plan driver and compare
+/// each result bit for bit with the per-statement oracle.
+fn check_program(seed: u64, texts: Vec<String>, stmts: &[SqlStatement], i0: &Instance) {
+    let _banner = ReplayBanner {
+        seed,
+        program: texts,
+    };
+    let (es, catalog) = employee_catalog();
+
+    let plan = compile_program(stmts, &catalog)
         .unwrap_or_else(|e| panic!("pool program must compile (seed {seed}): {e}"));
-    let oracle = legacy_apply(&stmts, &catalog, &i0, seed);
+    let oracle = legacy_apply(stmts, &catalog, i0, seed);
 
     // Sequential viewed driver.
     let mut seq = i0.clone();
@@ -343,7 +384,7 @@ fn run_program(seed: u64) {
             FaultStorage::new(),
             Arc::clone(&es.schema),
             WalConfig::default(),
-            &i0,
+            i0,
         )
         .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
         let mut dview = DatabaseView::new(&durable);
@@ -383,7 +424,7 @@ fn run_program(seed: u64) {
 
     // Persistent sharded session across two waves, against the legacy
     // path applied twice.
-    let oracle2 = legacy_apply(&stmts, &catalog, &oracle, seed);
+    let oracle2 = legacy_apply(stmts, &catalog, &oracle, seed);
     let mut twice = i0.clone();
     let mut session = plan.shard_session(ShardConfig::default());
     for wave in 0..2 {
@@ -403,7 +444,7 @@ fn run_program(seed: u64) {
         FaultStorage::new(),
         Arc::clone(&es.schema),
         WalConfig::default(),
-        &i0,
+        i0,
     )
     .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
     let mut dview = DatabaseView::new(&durable);
@@ -586,4 +627,43 @@ fn netted_store_is_skipped_without_observable_difference() {
         "skipping the netted stage is unobservable"
     );
     assert!(view.matches_rebuild(&i));
+}
+
+/// Set-update subqueries: every shape of [`SET_SUBQUERIES`], unguarded
+/// and under every guard, through the viewed, profiled, sharded, session
+/// and durable drivers plus WAL recovery on a sweep of random instances —
+/// all bit-identical to the per-statement interpreter. EXPLAIN must
+/// report the evaluator each one takes: one `par(E)` evaluation, or the
+/// per-row interpreter fallback.
+#[test]
+fn set_update_subqueries_match_per_statement_execution() {
+    let (es, catalog) = employee_catalog();
+    let mut seed = SWEEP_BASE ^ 0x5E7_0000;
+    for &(column, select, compiles) in SET_SUBQUERIES {
+        for guard in std::iter::once(None).chain(GUARDS.iter().map(Some)) {
+            let text = match guard {
+                Some(g) => format!("update Employee set {column} = ({select}) where {g}"),
+                None => format!("update Employee set {column} = ({select})"),
+            };
+            let stmts = vec![parse(&text).unwrap()];
+            let plan = compile_program(&stmts, &catalog).unwrap();
+            let explain = plan.explain();
+            let notes = &explain.children[0].notes;
+            let expected = if compiles {
+                "values: one par(E) evaluation"
+            } else {
+                "values: per-row interpreter"
+            };
+            assert!(
+                notes.iter().any(|n| n.starts_with(expected)),
+                "{text}: EXPLAIN must say `{expected}`: {notes:?}"
+            );
+            for _ in 0..24 {
+                seed += 1;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let i0 = random_instance(&es, &mut rng);
+                check_program(seed, vec![text.clone()], &stmts, &i0);
+            }
+        }
+    }
 }
