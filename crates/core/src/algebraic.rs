@@ -16,8 +16,8 @@
 use std::collections::BTreeSet;
 
 use receivers_objectbase::{
-    undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, InstanceTxn, MethodOutcome,
-    Oid, PropId, Receiver, Signature, UpdateMethod,
+    undo_ops, DeltaObserver, DeltaOp, InPlaceOutcome, Instance, InstanceTxn, MethodOutcome, Oid,
+    PropId, Receiver, Signature, UpdateMethod,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -204,17 +204,12 @@ impl AlgebraicMethod {
                     return InPlaceOutcome::Undefined(e.to_string());
                 }
             };
-            let recv = t.receiving_object();
             let mut txn = InstanceTxn::begin_observed(instance, view);
-            for (prop, values) in results {
-                let old: Vec<Oid> = txn.instance().successors(recv, prop).collect();
-                for v in old {
-                    txn.remove_edge(&Edge::new(recv, prop, v));
-                }
-                for v in values {
-                    txn.add_edge(Edge::new(recv, prop, v))
-                        .expect("typed evaluation only yields objects of I");
-                }
+            if let Err(e) = replace_values(&mut txn, t.receiving_object(), &results) {
+                drop(txn);
+                C_ROLLBACKS.incr();
+                undo_ops(instance, view, &seq_log);
+                return InPlaceOutcome::Undefined(e.to_string());
             }
             txn.commit_into(&mut seq_log);
             C_RECEIVERS_APPLIED.incr();
@@ -271,24 +266,24 @@ impl AlgebraicMethod {
                     return rollback_durable(e.to_string(), instance, view, store, &seq_log);
                 }
             };
-            let recv = t.receiving_object();
-            {
+            let replaced = {
                 let mut sink = DurableSink::new(store, view);
                 let mut txn = InstanceTxn::begin_observed(instance, &mut sink);
-                for (prop, values) in results {
-                    let old: Vec<Oid> = txn.instance().successors(recv, prop).collect();
-                    for v in old {
-                        txn.remove_edge(&Edge::new(recv, prop, v));
-                    }
-                    for v in values {
-                        txn.add_edge(Edge::new(recv, prop, v))
-                            .expect("typed evaluation only yields objects of I");
-                    }
+                let replaced = replace_values(&mut txn, t.receiving_object(), &results);
+                if replaced.is_ok() {
+                    txn.commit_into(&mut seq_log);
+                } else {
+                    // Rolls the receiver's partial edits back before
+                    // they reach the log.
+                    drop(txn);
                 }
-                txn.commit_into(&mut seq_log);
                 if let Some(err) = sink.take_error() {
                     return Err(err);
                 }
+                replaced
+            };
+            if let Err(e) = replaced {
+                return rollback_durable(e.to_string(), instance, view, store, &seq_log);
             }
             C_RECEIVERS_APPLIED.incr();
             if store.should_checkpoint() {
@@ -297,6 +292,57 @@ impl AlgebraicMethod {
         }
         Ok(InPlaceOutcome::Applied)
     }
+}
+
+/// Replace each updated property of `recv` by its evaluated values —
+/// one bulk successor replace per statement.
+pub(crate) fn replace_values(
+    txn: &mut InstanceTxn<'_>,
+    recv: Oid,
+    results: &[(PropId, Vec<Oid>)],
+) -> receivers_objectbase::Result<()> {
+    for (prop, values) in results {
+        txn.replace_successors(*prop, &[(recv, values)])?;
+    }
+    Ok(())
+}
+
+/// Group `(receiver, value)` pairs into one value list per object of
+/// `receiving` — empty for objects without pairs — and hand the rows to
+/// `f`. Every pair's receiver must be in `receiving`.
+pub(crate) fn with_receiver_rows<R>(
+    receiving: &BTreeSet<Oid>,
+    pairs: &[(Oid, Oid)],
+    f: impl FnOnce(&[(Oid, &[Oid])]) -> R,
+) -> R {
+    let mut sorted = Vec::new();
+    let pairs = if pairs.is_sorted() {
+        pairs
+    } else {
+        sorted.extend_from_slice(pairs);
+        sorted.sort_unstable();
+        &sorted
+    };
+    let values: Vec<Oid> = pairs.iter().map(|&(_, v)| v).collect();
+    let mut rows = Vec::with_capacity(receiving.len());
+    let mut k = 0;
+    for &o0 in receiving {
+        debug_assert!(
+            pairs.get(k).is_none_or(|&(o, _)| o >= o0),
+            "pair for an object outside the receiving set"
+        );
+        let start = k;
+        while pairs.get(k).is_some_and(|&(o, _)| o == o0) {
+            k += 1;
+        }
+        rows.push((o0, &values[start..k]));
+    }
+    debug_assert_eq!(
+        k,
+        pairs.len(),
+        "pair for an object outside the receiving set"
+    );
+    f(&rows)
 }
 
 // ---------------------------------------------------------------------
@@ -328,55 +374,45 @@ pub fn apply_delete_batch(
 
 /// Replace each assigned row's `prop` edges by its precomputed values,
 /// in one observed transaction — the phase-2 body of a set-oriented
-/// update. Rows absent from `assignments` keep their old edges.
+/// update. Rows absent from `assignments` keep their old edges. An
+/// ill-typed or dangling value is an `Err` that leaves the instance and
+/// the observer untouched.
 pub fn apply_assignment_batch(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     prop: PropId,
     assignments: &[(Oid, Vec<Oid>)],
-) {
+) -> receivers_objectbase::Result<()> {
     let _span = obs::span("core.batch.assign");
     C_BATCH_ROWS.add(assignments.len() as u64);
+    let rows: Vec<(Oid, &[Oid])> = assignments
+        .iter()
+        .map(|(tuple, values)| (*tuple, values.as_slice()))
+        .collect();
     let mut txn = InstanceTxn::begin_observed(instance, observer);
-    for (tuple, values) in assignments {
-        let old: Vec<Oid> = txn.instance().successors(*tuple, prop).collect();
-        for v in old {
-            txn.remove_edge(&Edge::new(*tuple, prop, v));
-        }
-        for &v in values {
-            txn.add_edge(Edge::new(*tuple, prop, v))
-                .expect("typed evaluation only yields objects of I");
-        }
-    }
+    txn.replace_successors(prop, &rows)?;
     txn.commit();
+    Ok(())
 }
 
 /// The replacement discipline of [`crate::apply_par`] (Definition 6.2) as
-/// one observed transaction: clear `prop` on *every* receiving object
-/// (receivers whose expression came up empty lose the property), then add
-/// the `(receiver, value)` pairs of the single parallel evaluation.
+/// one observed transaction: replace `prop` on *every* receiving object
+/// by its `(receiver, value)` pairs of the single parallel evaluation
+/// (receivers without pairs lose the property). An ill-typed or dangling
+/// value is an `Err` that leaves the instance and the observer untouched.
 pub fn apply_replacement_batch(
     instance: &mut Instance,
     observer: &mut dyn DeltaObserver,
     prop: PropId,
     receiving: &BTreeSet<Oid>,
     pairs: &[(Oid, Oid)],
-) {
+) -> receivers_objectbase::Result<()> {
     let _span = obs::span("core.batch.replace");
     C_BATCH_ROWS.add(receiving.len() as u64);
     let mut txn = InstanceTxn::begin_observed(instance, observer);
-    for &o0 in receiving {
-        let old: Vec<Oid> = txn.instance().successors(o0, prop).collect();
-        for v in old {
-            txn.remove_edge(&Edge::new(o0, prop, v));
-        }
-    }
-    for &(o0, v) in pairs {
-        debug_assert!(receiving.contains(&o0));
-        txn.add_edge(Edge::new(o0, prop, v))
-            .expect("typed evaluation only yields objects of I");
-    }
+    with_receiver_rows(receiving, pairs, |rows| txn.replace_successors(prop, rows))?;
     txn.commit();
+    Ok(())
 }
 
 impl UpdateMethod for AlgebraicMethod {
@@ -505,6 +541,73 @@ mod tests {
         let out = m.apply(&i, &t).expect_done("delete_bar");
         let remaining: Vec<_> = out.successors(o.d1, s.frequents).collect();
         assert_eq!(remaining, vec![o.bar2]);
+    }
+
+    /// Figure 2 plus a beer, its maintained view, and a dangling bar.
+    fn fig2_viewed() -> (
+        receivers_objectbase::examples::BeerSchema,
+        Instance,
+        receivers_objectbase::examples::Fig2Objects,
+        DatabaseView,
+    ) {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        i.add_object(Oid::new(s.beer, 0));
+        let view = DatabaseView::new(&i);
+        (s, i, o, view)
+    }
+
+    /// An ill-typed or dangling value row is an `Err` from both batch
+    /// appliers, and neither the instance nor the maintained view moves —
+    /// not even for the well-typed rows of the same batch.
+    #[test]
+    fn batch_appliers_refuse_bad_rows_untouched() {
+        let (s, mut i, o, mut view) = fig2_viewed();
+        let before = (i.clone(), view.clone());
+        let ghost = Oid::new(s.bar, 42);
+        let beer = Oid::new(s.beer, 0);
+        for bad in [ghost, beer] {
+            let assigns = vec![(o.d1, vec![o.bar3]), (o.d1, vec![o.bar1, bad])];
+            assert!(apply_assignment_batch(&mut i, &mut view, s.frequents, &assigns).is_err());
+            assert_eq!((&i, &view), (&before.0, &before.1));
+            let receiving: BTreeSet<Oid> = [o.d1].into();
+            let pairs = [(o.d1, o.bar3), (o.d1, bad)];
+            assert!(
+                apply_replacement_batch(&mut i, &mut view, s.frequents, &receiving, &pairs)
+                    .is_err()
+            );
+            assert_eq!((&i, &view), (&before.0, &before.1));
+            assert!(view.matches_rebuild(&i));
+        }
+    }
+
+    /// A set update whose values equal the current ones logs no edit, so
+    /// through a `DurableSink` it appends no WAL record; a changing one
+    /// appends exactly one.
+    #[test]
+    fn unchanged_set_update_appends_no_wal_record() {
+        use receivers_wal::{FaultStorage, WalConfig};
+        let (s, mut i, o, mut view) = fig2_viewed();
+        let mut store = DurableStore::create(
+            FaultStorage::new(),
+            Arc::clone(&s.schema),
+            WalConfig::default(),
+            &i,
+        )
+        .unwrap();
+        let current = vec![(o.d1, vec![o.bar1, o.bar2])];
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        apply_assignment_batch(&mut i, &mut sink, s.frequents, &current).unwrap();
+        assert_eq!(sink.take_error(), None);
+        assert_eq!(store.stats().records, 0);
+        assert_eq!(store.last_seq(), 0);
+
+        let changed = vec![(o.d1, vec![o.bar2, o.bar3])];
+        let mut sink = DurableSink::new(&mut store, &mut view);
+        apply_assignment_batch(&mut i, &mut sink, s.frequents, &changed).unwrap();
+        assert_eq!(sink.take_error(), None);
+        assert_eq!(store.stats().records, 1);
+        assert!(view.matches_rebuild(&i));
     }
 
     #[test]

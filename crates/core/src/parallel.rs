@@ -9,13 +9,13 @@
 //! is one algebra query instead of `|T|` — the efficiency claim this
 //! repository benchmarks (bench `seq_vs_par`).
 
-use receivers_objectbase::{Edge, Instance, Oid, ReceiverSet, UpdateMethod};
+use receivers_objectbase::{Instance, Oid, ReceiverSet, UpdateMethod};
 use receivers_relalg::database::Database;
 use receivers_relalg::eval::{eval, Bindings};
 use receivers_relalg::par::par;
 
-use crate::algebraic::AlgebraicMethod;
-use crate::error::{CoreError, Result};
+use crate::algebraic::{with_receiver_rows, AlgebraicMethod};
+use crate::error::Result;
 
 /// `M_par(I, T)` (Definition 6.2): apply `method` to the whole receiver
 /// set at once.
@@ -54,20 +54,11 @@ pub fn apply_par(
     let receiving: std::collections::BTreeSet<Oid> =
         receivers.iter().map(|t| t.receiving_object()).collect();
     let mut out = instance.clone();
+    let mut ops = Vec::new();
     for (prop, pairs) in per_statement {
-        for &o0 in &receiving {
-            // The forward index hands us the old values of (o0, prop)
-            // directly instead of a per-receiver scan of every prop-edge.
-            let old: Vec<Oid> = out.successors(o0, prop).collect();
-            for v in old {
-                out.remove_edge(&Edge::new(o0, prop, v));
-            }
-        }
-        for (o0, v) in pairs {
-            debug_assert!(receiving.contains(&o0));
-            out.add_edge(Edge::new(o0, prop, v))
-                .map_err(CoreError::from)?;
-        }
+        with_receiver_rows(&receiving, &pairs, |rows| {
+            out.replace_successors(prop, rows, &mut ops)
+        })?;
     }
     Ok(out)
 }
@@ -83,7 +74,7 @@ mod tests {
     use receivers_objectbase::gen::{
         all_receivers, random_instance, random_receivers, InstanceParams,
     };
-    use receivers_objectbase::{Receiver, Signature};
+    use receivers_objectbase::{Edge, Receiver, Signature};
 
     /// Proposition 6.3: on a single receiver, parallel and ordinary
     /// application coincide.

@@ -76,7 +76,7 @@ use receivers_relalg::RelName;
 use receivers_rt as rt;
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::algebraic::AlgebraicMethod;
+use crate::algebraic::{replace_values, AlgebraicMethod};
 use crate::coloring_bridge::{method_footprint, MethodFootprint};
 
 obs::counter!(C_PLANS, "core.shard.plans");
@@ -512,18 +512,8 @@ fn apply_coordinated(
     let results = method
         .evaluate_on(view.database(), t)
         .map_err(|e| e.to_string())?;
-    let recv = t.receiving_object();
     let mut txn = InstanceTxn::begin_observed(instance, view);
-    for (prop, values) in results {
-        let old: Vec<Oid> = txn.instance().successors(recv, prop).collect();
-        for v in old {
-            txn.remove_edge(&Edge::new(recv, prop, v));
-        }
-        for v in values {
-            txn.add_edge(Edge::new(recv, prop, v))
-                .expect("typed evaluation only yields objects of I");
-        }
-    }
+    replace_values(&mut txn, t.receiving_object(), &results).map_err(|e| e.to_string())?;
     txn.commit_into(seq_log);
     Ok(())
 }

@@ -146,6 +146,22 @@ impl<'a> InstanceTxn<'a> {
         removed
     }
 
+    /// Replace the `prop`-successors of each row's object by its value
+    /// list (cf. [`Instance::replace_successors`]): logs and streams only
+    /// the effective edits. On `Err` nothing was changed or logged.
+    /// Returns the number of edits.
+    pub fn replace_successors(&mut self, prop: PropId, rows: &[(Oid, &[Oid])]) -> Result<usize> {
+        let start = self.log.len();
+        self.instance
+            .replace_successors(prop, rows, &mut self.log)?;
+        if let Some(obs) = self.observer.as_deref_mut() {
+            for op in &self.log[start..] {
+                obs.applied(op);
+            }
+        }
+        Ok(self.log.len() - start)
+    }
+
     /// Remove an object and its incident edges (cf.
     /// [`Instance::remove_object_cascade`]).
     pub fn remove_object_cascade(&mut self, o: Oid) -> bool {
@@ -286,7 +302,7 @@ pub fn redo_ops(instance: &mut Instance, observer: &mut dyn DeltaObserver, ops: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::examples::{beer_schema, figure2};
+    use crate::examples::{beer_schema, figure2, Fig2Objects};
 
     #[test]
     fn commit_keeps_edits() {
@@ -374,6 +390,88 @@ mod tests {
         let (mut i, o) = figure2(&s);
         let present = DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar1));
         redo_ops(&mut i, &mut crate::view::NullObserver, &[present]);
+    }
+
+    /// Figure 2 plus a second drinker frequenting `Bar₃`, so a replace
+    /// batch has rows that keep, drop, and gain values.
+    fn two_drinkers() -> (crate::examples::BeerSchema, Instance, Fig2Objects, Oid) {
+        let s = beer_schema();
+        let (mut i, o) = figure2(&s);
+        let d2 = Oid::new(s.drinker, 2);
+        i.add_object(d2);
+        i.link(d2, s.frequents, o.bar3).unwrap();
+        (s, i, o, d2)
+    }
+
+    #[test]
+    fn replace_successors_logs_only_effective_edits_each_edge_once() {
+        let (s, mut i, o, d2) = two_drinkers();
+        let mut txn = InstanceTxn::begin(&mut i);
+        let rows: [(Oid, &[Oid]); 2] = [(o.d1, &[o.bar2, o.bar3]), (d2, &[])];
+        assert_eq!(txn.replace_successors(s.frequents, &rows).unwrap(), 3);
+        // Bar₂ is kept: no cancelling remove/add pair for it.
+        assert_eq!(
+            txn.log,
+            vec![
+                DeltaOp::RemovedEdge(Edge::new(o.d1, s.frequents, o.bar1)),
+                DeltaOp::AddedEdge(Edge::new(o.d1, s.frequents, o.bar3)),
+                DeltaOp::RemovedEdge(Edge::new(d2, s.frequents, o.bar3)),
+            ]
+        );
+        let mut edges: Vec<Edge> = txn
+            .log
+            .iter()
+            .map(|op| match *op {
+                DeltaOp::AddedEdge(e) | DeltaOp::RemovedEdge(e) => e,
+                _ => unreachable!("edge replace logs edge ops"),
+            })
+            .collect();
+        edges.sort();
+        edges.dedup();
+        assert_eq!(edges.len(), txn.op_count(), "an edge named twice");
+        // Replacing with the current values is a no-op.
+        let same: [(Oid, &[Oid]); 1] = [(o.d1, &[o.bar2, o.bar3])];
+        assert_eq!(txn.replace_successors(s.frequents, &same).unwrap(), 0);
+        txn.commit();
+        i.check_index_consistent();
+    }
+
+    #[test]
+    fn replace_successors_rolls_back_and_drops_exactly() {
+        let (s, mut i, o, d2) = two_drinkers();
+        let snapshot = i.clone();
+        let bars = [o.bar1, o.bar2, o.bar3];
+        let rows: [(Oid, &[Oid]); 2] = [(o.d1, &[o.bar3]), (d2, &bars)];
+        let mut txn = InstanceTxn::begin(&mut i);
+        txn.replace_successors(s.frequents, &rows).unwrap();
+        assert_ne!(txn.instance(), &snapshot);
+        txn.rollback();
+        assert_eq!(i, snapshot);
+        i.check_index_consistent();
+        {
+            let mut txn = InstanceTxn::begin(&mut i);
+            txn.replace_successors(s.frequents, &rows).unwrap();
+        }
+        assert_eq!(i, snapshot);
+        i.check_index_consistent();
+    }
+
+    #[test]
+    fn replace_successors_refuses_dangling_or_ill_typed_rows_untouched() {
+        let (s, mut i, o, d2) = two_drinkers();
+        // A present object of the wrong class, and an absent bar.
+        let beer = Oid::new(s.beer, 0);
+        i.add_object(beer);
+        let ghost = Oid::new(s.bar, 99);
+        let snapshot = i.clone();
+        let mut txn = InstanceTxn::begin(&mut i);
+        for bad in [[o.bar1, ghost], [o.bar1, beer]] {
+            let rows: [(Oid, &[Oid]); 2] = [(d2, &[o.bar1]), (o.d1, &bad)];
+            assert!(txn.replace_successors(s.frequents, &rows).is_err());
+            assert_eq!(txn.op_count(), 0);
+            assert_eq!(txn.instance(), &snapshot);
+        }
+        txn.commit();
     }
 
     #[test]

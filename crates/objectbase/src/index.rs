@@ -14,16 +14,26 @@
 //! * **reverse**: `(dst, prop) → {src}` — drives predecessor lookups and
 //!   the incident-edge sweep of cascading node removal.
 //!
-//! Per-operation complexity (`d` = result degree, `E` = total edges):
+//! Per-operation complexity (`d` = result degree, `E` = total edges; for
+//! `replace_successors`, `k` = edges added or removed, `n` = new values
+//! over all rows, `E_p` = edges labeled `p`):
 //!
 //! | operation                    | flat set    | indexed          |
 //! |------------------------------|-------------|------------------|
 //! | `insert` / `remove`          | `O(log E)`  | `O(log E)` (×3)  |
+//! | `replace_successors(p, rows)`| `O((d+n)·log E)` | `O(n + k·log E)` small `k`, `O(n + E_p)` large `k` |
 //! | `contains`                   | `O(log E)`  | `O(log E)`       |
 //! | `successors(o, p)`           | `O(E)` scan | `O(log E + d)`   |
 //! | `labeled(p)`                 | `O(E)` scan | `O(log E + d)`   |
 //! | `incident(o)`                | `O(E)` scan | `O(log E + d·log d)` |
 //! | full iteration               | `O(E)`      | `O(E)`           |
+//!
+//! `replace_successors` is the set-at-a-time write: it merge-diffs each
+//! row's old successors against its new values, so an unchanged value
+//! costs nothing, and applies the difference to each view in one pass.
+//! A view set that receives at least 8 edits, and edits on at least 1/8
+//! of its size, is rebuilt by one sorted merge; smaller edit sets are
+//! point edits.
 //!
 //! All iterators yield edges in the canonical `(src, prop, dst)` order, so
 //! equality/ordering/hashing built on them is indistinguishable from the
@@ -34,6 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use crate::delta::DeltaOp;
 use crate::item::Edge;
 use crate::oid::Oid;
 use crate::schema::PropId;
@@ -116,6 +127,90 @@ impl EdgeIndex {
         Self::prune(&mut self.rev, &(e.dst, e.prop), &e.src);
         self.len -= 1;
         true
+    }
+
+    /// Replace the `p`-successors of every row by its value list, logging
+    /// one `RemovedEdge` per old value not kept and one `AddedEdge` per new
+    /// value not already present — in canonical edge order — to `ops`.
+    ///
+    /// The caller guarantees the preconditions: rows strictly ascending
+    /// by source, each value list strictly ascending, every resulting edge
+    /// well typed.
+    pub(crate) fn replace_successors(
+        &mut self,
+        p: PropId,
+        rows: &[(Oid, &[Oid])],
+        ops: &mut Vec<DeltaOp>,
+    ) {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        // (src, dst, added) in canonical (src, dst) order.
+        let mut edits: Vec<(Oid, Oid, bool)> = Vec::new();
+        let mut added = 0usize;
+        for &(src, new) in rows {
+            debug_assert!(new.windows(2).all(|w| w[0] < w[1]));
+            let start = edits.len();
+            let old = self.fwd.get(&(src, p));
+            let mut old_it = old.into_iter().flatten().copied().peekable();
+            let mut new_it = new.iter().copied().peekable();
+            loop {
+                // The smaller head is an edit: an old one is removed, a
+                // new one added; equal heads are kept untouched.
+                let add = match (old_it.peek(), new_it.peek()) {
+                    (None, None) => break,
+                    (Some(o), Some(n)) if o == n => {
+                        old_it.next();
+                        new_it.next();
+                        continue;
+                    }
+                    (Some(o), Some(n)) => n < o,
+                    (old, _) => old.is_none(),
+                };
+                let dst = if add { new_it.next() } else { old_it.next() }.expect("peeked");
+                let e = Edge::new(src, p, dst);
+                ops.push(if add {
+                    DeltaOp::AddedEdge(e)
+                } else {
+                    DeltaOp::RemovedEdge(e)
+                });
+                edits.push((src, dst, add));
+                added += usize::from(add);
+            }
+            let changes = edits.len() - start;
+            if changes == 0 {
+                continue;
+            }
+            if new.is_empty() {
+                self.fwd.remove(&(src, p));
+                continue;
+            }
+            match self.fwd.get_mut(&(src, p)) {
+                Some(dsts) if point_edits_win(changes, dsts.len()) => {
+                    edit_sorted(dsts, edits[start..].iter().map(|&(_, d, a)| (d, a)));
+                }
+                _ => {
+                    self.fwd.insert((src, p), new.iter().copied().collect());
+                }
+            }
+        }
+        if edits.is_empty() {
+            return;
+        }
+        self.len = self.len + 2 * added - edits.len();
+        let pairs = self.by_prop.entry(p).or_default();
+        edit_sorted(pairs, edits.iter().map(|&(s, d, a)| ((s, d), a)));
+        if pairs.is_empty() {
+            self.by_prop.remove(&p);
+        }
+        let mut by_dst: Vec<(Oid, Oid, bool)> = edits.iter().map(|&(s, d, a)| (d, s, a)).collect();
+        by_dst.sort_unstable();
+        for group in by_dst.chunk_by(|a, b| a.0 == b.0) {
+            let key = (group[0].0, p);
+            let srcs = self.rev.entry(key).or_default();
+            edit_sorted(srcs, group.iter().map(|&(_, s, a)| (s, a)));
+            if srcs.is_empty() {
+                self.rev.remove(&key);
+            }
+        }
     }
 
     fn prune<K: Ord + Copy, V: Ord>(map: &mut BTreeMap<K, BTreeSet<V>>, key: &K, v: &V) {
@@ -212,10 +307,71 @@ impl EdgeIndex {
             .iter()
             .flat_map(|(&(d, p), srcs)| srcs.iter().map(move |&s| Edge::new(s, p, d)))
             .collect();
+        assert!(
+            self.fwd.values().all(|s| !s.is_empty())
+                && self.by_prop.values().all(|s| !s.is_empty())
+                && self.rev.values().all(|s| !s.is_empty()),
+            "empty set left in an index view"
+        );
         assert_eq!(from_fwd.len(), self.len, "len out of sync with fwd view");
         assert_eq!(from_fwd, from_prop, "by_prop view out of sync");
         assert_eq!(from_fwd, from_rev, "rev view out of sync");
     }
+}
+
+/// The small/large split of a batch against one view set. Fewer than
+/// `SMALL_BATCH` edits, or fewer than `1/SMALL_BATCH` of the set's size,
+/// are point edits (`O(edits · log len)`, no allocation); a larger batch
+/// rebuilds the set by one sorted merge (`O(len + edits)`, bulk-built
+/// from sorted input). The absolute part is the flat kernel's rule in
+/// `Relation::apply_row_edits`; the relative part reflects that a B-tree
+/// point edit costs `O(log len)` rather than a memmove.
+const SMALL_BATCH: usize = 8;
+
+fn point_edits_win(edits: usize, len: usize) -> bool {
+    edits < SMALL_BATCH || edits * SMALL_BATCH < len
+}
+
+/// Apply `edits` — `(value, inserted)` pairs, strictly ascending by value,
+/// each inserting an absent value or removing a present one — to `set`.
+fn edit_sorted<T: Ord + Copy>(
+    set: &mut BTreeSet<T>,
+    edits: impl ExactSizeIterator<Item = (T, bool)>,
+) {
+    if point_edits_win(edits.len(), set.len()) {
+        for (x, add) in edits {
+            let changed = if add { set.insert(x) } else { set.remove(&x) };
+            debug_assert!(changed, "ineffective index edit");
+        }
+        return;
+    }
+    let mut merged = Vec::with_capacity(set.len() + edits.len());
+    let mut edits = edits.peekable();
+    for x in std::mem::take(set) {
+        while let Some(&(y, _)) = edits.peek().filter(|&&(y, _)| y < x) {
+            debug_assert!(
+                edits.peek().is_some_and(|e| e.1),
+                "removal of an absent value"
+            );
+            merged.push(y);
+            edits.next();
+        }
+        if edits.peek().is_some_and(|&(y, _)| y == x) {
+            debug_assert!(
+                edits.peek().is_some_and(|e| !e.1),
+                "insert of a present value"
+            );
+            edits.next();
+        } else {
+            merged.push(x);
+        }
+    }
+    merged.extend(edits.map(|(y, add)| {
+        debug_assert!(add, "removal of an absent value");
+        y
+    }));
+    // Sorted input: the collect is a linear bulk build.
+    *set = merged.into_iter().collect();
 }
 
 impl PartialEq for EdgeIndex {

@@ -7,6 +7,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::delta::DeltaOp;
 use crate::error::{ObjectBaseError, Result};
 use crate::item::{Edge, Item};
 use crate::oid::Oid;
@@ -105,6 +106,23 @@ impl Instance {
     /// Remove an edge.
     pub fn remove_edge(&mut self, e: &Edge) -> bool {
         self.inner.remove_edge(e)
+    }
+
+    /// Replace the `prop`-successors of each row's object by its value
+    /// list (see [`PartialInstance::replace_successors`]), checking typing
+    /// *and* endpoint presence of every edge to be created before anything
+    /// changes: an `Err` leaves the instance untouched. The effective
+    /// edits are appended to `ops`.
+    pub fn replace_successors(
+        &mut self,
+        prop: PropId,
+        rows: &[(Oid, &[Oid])],
+        ops: &mut Vec<DeltaOp>,
+    ) -> Result<()> {
+        self.inner
+            .check_rows(prop, rows, |o| self.inner.contains_node(o))?;
+        self.inner.replace_checked(prop, rows, ops);
+        Ok(())
     }
 
     /// Remove an object together with all its incident edges, preserving

@@ -9,6 +9,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::delta::DeltaOp;
 use crate::error::{ObjectBaseError, Result};
 use crate::index::EdgeIndex;
 use crate::instance::Instance;
@@ -152,6 +153,11 @@ impl PartialInstance {
     /// Insert an edge after checking it is well typed against the schema.
     /// Endpoints need *not* be present: partial instances may dangle.
     pub fn insert_edge(&mut self, e: Edge) -> Result<bool> {
+        self.check_typed(e)?;
+        Ok(self.edges.insert(e))
+    }
+
+    fn check_typed(&self, e: Edge) -> Result<()> {
         let prop = self.schema.property(e.prop);
         if prop.src != e.src.class || prop.dst != e.dst.class {
             return Err(ObjectBaseError::IllTypedEdge {
@@ -165,7 +171,95 @@ impl PartialInstance {
                 ),
             });
         }
-        Ok(self.edges.insert(e))
+        Ok(())
+    }
+
+    /// Replace the `prop`-successors of each row's object by its value
+    /// list — the set-at-a-time write behind every "clear the property,
+    /// then add the new values" update. Values need not be sorted or
+    /// distinct; a row listed twice takes its last value list, as a
+    /// sequence of single-row replacements would.
+    ///
+    /// Every edge the rows would create is type-checked *before* anything
+    /// changes, so an `Err` leaves the partial instance untouched (rows
+    /// with an empty value list create nothing and are not checked).
+    /// Endpoints need *not* be present. On success exactly the effective
+    /// edits are appended to `ops` in canonical edge order — a
+    /// `RemovedEdge` per old value not kept, an `AddedEdge` per new value
+    /// not already present; an unchanged value logs nothing.
+    pub fn replace_successors(
+        &mut self,
+        prop: PropId,
+        rows: &[(Oid, &[Oid])],
+        ops: &mut Vec<DeltaOp>,
+    ) -> Result<()> {
+        self.check_rows(prop, rows, |_| true)?;
+        self.replace_checked(prop, rows, ops);
+        Ok(())
+    }
+
+    /// Type-check every edge `rows` would create, and require `present`
+    /// of each endpoint.
+    pub(crate) fn check_rows(
+        &self,
+        prop: PropId,
+        rows: &[(Oid, &[Oid])],
+        present: impl Fn(Oid) -> bool,
+    ) -> Result<()> {
+        let dangling = || ObjectBaseError::DanglingEdge {
+            property: self.schema.prop_name(prop).to_owned(),
+        };
+        for &(src, values) in rows {
+            let Some(&first) = values.first() else {
+                continue;
+            };
+            self.check_typed(Edge::new(src, prop, first))?;
+            if !present(src) {
+                return Err(dangling());
+            }
+            for &v in values {
+                if v.class != first.class {
+                    self.check_typed(Edge::new(src, prop, v))?;
+                }
+                if !present(v) {
+                    return Err(dangling());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Self::replace_successors`] after the checks: bring the rows into
+    /// the index's canonical form (ascending distinct sources, ascending
+    /// distinct values) — without copying when they already are — and
+    /// apply them.
+    pub(crate) fn replace_checked(
+        &mut self,
+        prop: PropId,
+        rows: &[(Oid, &[Oid])],
+        ops: &mut Vec<DeltaOp>,
+    ) {
+        let canonical = rows.windows(2).all(|w| w[0].0 < w[1].0)
+            && rows.iter().all(|(_, v)| v.windows(2).all(|w| w[0] < w[1]));
+        if canonical {
+            self.edges.replace_successors(prop, rows, ops);
+            return;
+        }
+        // Stable sort, then keep the last list of each source.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| rows[i].0);
+        let mut owned: Vec<(Oid, Vec<Oid>)> = Vec::with_capacity(rows.len());
+        for (k, &i) in order.iter().enumerate() {
+            if order.get(k + 1).is_some_and(|&j| rows[j].0 == rows[i].0) {
+                continue;
+            }
+            let mut values = rows[i].1.to_vec();
+            values.sort_unstable();
+            values.dedup();
+            owned.push((rows[i].0, values));
+        }
+        let borrowed: Vec<(Oid, &[Oid])> = owned.iter().map(|(o, v)| (*o, v.as_slice())).collect();
+        self.edges.replace_successors(prop, &borrowed, ops);
     }
 
     /// Insert an arbitrary item (edge typing still checked).

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use receivers_objectbase::examples::beer_schema;
-use receivers_objectbase::{Edge, Oid, PartialInstance, PropId};
+use receivers_objectbase::{DeltaOp, Edge, Oid, PartialInstance, PropId};
 
 /// The reference model: the flat item sets the pre-index implementation
 /// stored directly.
@@ -252,5 +252,163 @@ fn random_sequences_agree_with_flat_set_oracle() {
                 "ordering diverged from flat-set lexicographic order"
             );
         }
+    }
+}
+
+/// The oracle's reading of a bulk replace: each row in turn loses every
+/// `p`-successor, then gains its values — the loop the primitive
+/// replaced.
+fn oracle_replace(oracle: &mut Oracle, p: PropId, rows: &[(Oid, Vec<Oid>)]) {
+    for (src, values) in rows {
+        oracle.edges.retain(|e| !(e.src == *src && e.prop == p));
+        oracle
+            .edges
+            .extend(values.iter().map(|&v| Edge::new(*src, p, v)));
+    }
+}
+
+/// A random replace batch on property `p`. Rows mix every shape the
+/// primitive distinguishes: values overlapping the old successors, an
+/// empty new list, sources with no old edges, and (when `messy`)
+/// unsorted duplicate values and a repeated row.
+fn random_batch(
+    oracle: &Oracle,
+    u: &Universe,
+    p_idx: usize,
+    row_count: usize,
+    messy: bool,
+    rng: &mut StdRng,
+) -> Vec<(Oid, Vec<Oid>)> {
+    let (p, src_class, dst_class) = u.props[p_idx];
+    let mut srcs: Vec<u32> = (0..u.objects_per_class).collect();
+    for i in (1..srcs.len()).rev() {
+        srcs.swap(i, rng.random_range(0..i + 1));
+    }
+    let mut rows: Vec<(Oid, Vec<Oid>)> = srcs[..row_count]
+        .iter()
+        .map(|&k| {
+            let src = Oid::new(src_class, k);
+            let old = oracle.successors(src, p);
+            let mut values: Vec<Oid> = match rng.random_range(0..4u32) {
+                0 => Vec::new(),
+                // Overlap: keep a random part of the old values.
+                1 | 2 => old
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.random_bool(0.6))
+                    .collect(),
+                _ => old.clone(),
+            };
+            let fresh = rng.random_range(0..u.objects_per_class as usize / 2);
+            values.extend(
+                (0..fresh).map(|_| Oid::new(dst_class, rng.random_range(0..u.objects_per_class))),
+            );
+            values.sort_unstable();
+            values.dedup();
+            if messy && values.len() > 1 {
+                values.reverse();
+                values.push(values[0]);
+            }
+            (src, values)
+        })
+        .collect();
+    if messy {
+        rows.reverse();
+        let again = rows[0].0;
+        rows.push((again, vec![Oid::new(dst_class, 0)]));
+    }
+    rows
+}
+
+/// `replace_successors` against the flat-set oracle: every public view
+/// agrees after every batch, the log is exactly the effective edits in
+/// canonical order (each edge at most once), and an ill-typed batch is
+/// refused without touching the instance. Batches of one row changing
+/// a few edges stay below the rebuild threshold of the dense index
+/// views (point edits); batches of most rows cross it (sorted-merge
+/// rebuilds).
+#[test]
+fn replace_successors_agrees_with_flat_set_oracle() {
+    let s = beer_schema();
+    let u = Universe {
+        props: [s.frequents, s.likes, s.serves]
+            .iter()
+            .map(|&p| {
+                let prop = s.schema.property(p);
+                (p, prop.src, prop.dst)
+            })
+            .collect(),
+        classes: vec![s.drinker, s.bar, s.beer],
+        objects_per_class: 24,
+    };
+
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x5E7A ^ seed);
+        let mut subject = PartialInstance::empty(Arc::clone(&s.schema));
+        let mut oracle = Oracle::default();
+        // A dense start, so one-row batches are small against the views.
+        for _ in 0..600 {
+            let e = u.random_edge(&mut rng);
+            subject.insert_edge(e).expect("well typed");
+            oracle.edges.insert(e);
+        }
+        for step in 0..60 {
+            let p_idx = rng.random_range(0..u.props.len());
+            let p = u.props[p_idx].0;
+            let row_count = match step % 3 {
+                0 => 1,
+                1 => rng.random_range(2..6),
+                _ => rng.random_range(12..=u.objects_per_class as usize),
+            };
+            let messy = rng.random_range(0..5u32) == 0;
+            let rows = random_batch(&oracle, &u, p_idx, row_count, messy, &mut rng);
+            let before = oracle.clone();
+            oracle_replace(&mut oracle, p, &rows);
+
+            let borrowed: Vec<(Oid, &[Oid])> =
+                rows.iter().map(|(o, v)| (*o, v.as_slice())).collect();
+            let mut ops = Vec::new();
+            subject
+                .replace_successors(p, &borrowed, &mut ops)
+                .expect("well typed");
+            check_agreement(&subject, &oracle, &u);
+
+            let logged: Vec<Edge> = ops
+                .iter()
+                .map(|op| match *op {
+                    DeltaOp::AddedEdge(e) => {
+                        assert!(!before.edges.contains(&e) && oracle.edges.contains(&e));
+                        e
+                    }
+                    DeltaOp::RemovedEdge(e) => {
+                        assert!(before.edges.contains(&e) && !oracle.edges.contains(&e));
+                        e
+                    }
+                    other => panic!("node op {other:?} from an edge replace"),
+                })
+                .collect();
+            let changed: Vec<Edge> = before
+                .edges
+                .symmetric_difference(&oracle.edges)
+                .copied()
+                .collect();
+            assert_eq!(logged, changed, "log is not the canonical effective diff");
+        }
+
+        // An ill-typed value anywhere in the batch refuses the whole
+        // batch before anything changes.
+        let (p, src_class, dst_class) = u.props[0];
+        let good = [Oid::new(dst_class, 1)];
+        let bad = [Oid::new(src_class, 1), Oid::new(dst_class, 2)];
+        let rows: [(Oid, &[Oid]); 2] = [
+            (Oid::new(src_class, 0), &good),
+            (Oid::new(src_class, 1), &bad),
+        ];
+        let snapshot = subject.clone();
+        let mut ops = Vec::new();
+        assert!(subject.replace_successors(p, &rows, &mut ops).is_err());
+        assert!(ops.is_empty());
+        assert_eq!(subject, snapshot);
+        check_agreement(&subject, &oracle, &u);
     }
 }

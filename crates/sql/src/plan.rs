@@ -1638,14 +1638,7 @@ impl ProgramPlan {
             let values = eval_select(cu.select(), &scopes, cu.catalog(), instance)?;
             meter.rows_out += 1;
             let mut txn = receivers_objectbase::InstanceTxn::begin_observed(instance, observer);
-            let old: Vec<Oid> = txn.instance().successors(tuple, prop).collect();
-            for v in old {
-                txn.remove_edge(&receivers_objectbase::Edge::new(tuple, prop, v));
-            }
-            for v in values {
-                txn.add_edge(receivers_objectbase::Edge::new(tuple, prop, v))
-                    .expect("typed evaluation");
-            }
+            txn.replace_successors(prop, &[(tuple, &values)])?;
             txn.commit();
         }
         Ok(InPlaceOutcome::Applied)
@@ -1676,7 +1669,7 @@ impl ProgramPlan {
                 C_VECTORIZED_ROWS.add(assigns.len() as u64);
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
-                apply_assignment_batch(instance, view, self.stage_prop(stage)?, &assigns);
+                apply_assignment_batch(instance, view, self.stage_prop(stage)?, &assigns)?;
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::ImprovedUpdate => {
@@ -1690,7 +1683,7 @@ impl ProgramPlan {
                     self.stage_prop(stage)?,
                     &receiving,
                     &pairs,
-                );
+                )?;
                 Ok(InPlaceOutcome::Applied)
             }
             StageKind::CursorDelete => self.run_cursor_delete(stage, instance, view, meter),
@@ -1875,10 +1868,11 @@ impl ProgramPlan {
                     meter.rows_out += assigns.len() as u64;
                     let prop = self.stage_prop(stage)?;
                     let mut sink = DurableSink::new(store, view);
-                    apply_assignment_batch(instance, &mut sink, prop, &assigns);
+                    let applied = apply_assignment_batch(instance, &mut sink, prop, &assigns);
                     if let Some(e) = sink.take_error() {
                         return Err(e.into());
                     }
+                    applied?;
                     InPlaceOutcome::Applied
                 }
                 StageKind::ImprovedUpdate => {
@@ -1888,10 +1882,12 @@ impl ProgramPlan {
                     meter.rows_out += pairs.len() as u64;
                     let prop = self.stage_prop(stage)?;
                     let mut sink = DurableSink::new(store, view);
-                    apply_replacement_batch(instance, &mut sink, prop, &receiving, &pairs);
+                    let applied =
+                        apply_replacement_batch(instance, &mut sink, prop, &receiving, &pairs);
                     if let Some(e) = sink.take_error() {
                         return Err(e.into());
                     }
+                    applied?;
                     InPlaceOutcome::Applied
                 }
                 StageKind::CursorDelete => {
