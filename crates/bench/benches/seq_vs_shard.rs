@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use receivers_core::methods::add_bar;
 use receivers_core::shard::{certify, shard_of, ShardConfig};
-use receivers_core::{apply_sequence_sharded, ShardPlan, ShardedExecutor};
+use receivers_core::{ShardPlan, ShardedExecutor};
 use receivers_objectbase::examples::{beer_schema, BeerSchema};
 use receivers_objectbase::{InPlaceOutcome, Instance, Oid, Receiver};
 use receivers_relalg::view::DatabaseView;
@@ -198,9 +198,10 @@ fn seq_vs_shard(c: &mut Criterion) {
                 };
 
                 // Same receivers, same result, two execution strategies —
-                // checked on the cold path before anything is timed.
+                // checked on the cold path before anything is timed: a
+                // fresh executor used once (replica build + wave) first.
                 let mut oneshot = i.clone();
-                let out = apply_sequence_sharded(&m, &mut oneshot, &wave, &cfg);
+                let out = ShardedExecutor::new(&m, &cfg).apply(&mut oneshot, &wave);
                 assert_eq!(out, InPlaceOutcome::Applied);
                 if dist == "uniform" && t > 1 {
                     let plan = ShardPlan::new(&m, &wave, t);

@@ -5,7 +5,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use receivers_core::apply_sequence_sharded;
 use receivers_core::methods::add_bar;
 use receivers_core::shard::{shard_of, ShardConfig, ShardPlan};
 use receivers_objectbase::examples::{beer_schema, BeerSchema};
@@ -104,9 +103,10 @@ fn main() {
         shards: Some(shards),
         ..ShardConfig::default()
     };
+    // One-shot: a fresh executor per wave, so the replica build is timed.
     time("sharded one-shot (t8)", 5, || {
         let mut w = i.clone();
-        apply_sequence_sharded(&m, &mut w, &order, &cfg)
+        receivers_core::ShardedExecutor::new(&m, &cfg).apply(&mut w, &order)
     });
 
     // Steady state: persistent view vs persistent executor, no clones in

@@ -62,7 +62,7 @@ pub use sequential::{
     apply_seq, apply_sequence, order_independent_on, order_independent_sampled, IndependenceVerdict,
 };
 pub use shard::{
-    apply_planned, apply_sequence_sharded, apply_sharded, certify, shard_of, Assignment,
-    ShardCertificate, ShardConfig, ShardLaneStats, ShardPlan, ShardedExecutor, WaveStats,
+    certify, shard_of, Assignment, ShardCertificate, ShardConfig, ShardLaneStats, ShardPlan,
+    ShardedExecutor, WaveStats,
 };
 pub use syntactic::satisfies_prop_5_8;

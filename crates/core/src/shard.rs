@@ -29,28 +29,28 @@
 //! 3. **Plan.** [`ShardPlan`] assigns each receiver [`Assignment::Local`]
 //!    when the method is certified and *all* its component objects land in
 //!    one shard, else [`Assignment::Coordinated`]. Coordinated receivers
-//!    run on the ordered coordinator path — the exact sequential body —
-//!    and act as barriers between parallel segments, so results stay
-//!    bit-identical to [`AlgebraicMethod::apply_sequence_viewed`] whatever
-//!    the mix.
+//!    run one at a time on the caller's thread, in order, and act as
+//!    barriers between parallel segments, so results stay bit-identical to
+//!    [`AlgebraicMethod::apply_sequence_viewed`] whatever the mix.
 //!
-//! 4. **Execute.** Each segment of consecutive Local receivers fans out
-//!    over [`receivers_rt::shard_map`] worker loops. A worker owns a
-//!    **pruned replica** of the database — written properties filtered to
-//!    its shard's rows, everything else shared-schema full copies — so a
-//!    point edit costs `O(E/n)` instead of `O(E)`: the per-shard
-//!    `TupleSet` delta buffers that make maintenance scale with the shard,
-//!    not the instance. Workers record the delta ops their receivers would
-//!    have logged under an observed transaction (identical op order by
-//!    construction), and never touch shared state.
+//! 4. **Execute.** A [`ShardedExecutor`] keeps one **pruned replica** of
+//!    the database per shard — written properties filtered to the shard's
+//!    rows, everything else a copy-on-write clone — so a point edit costs
+//!    `O(E/n)` instead of `O(E)`. Each segment of consecutive Local
+//!    receivers fans out over [`receivers_rt::shard_map`] worker loops, one
+//!    per shard; a coordinated receiver evaluates against its receiving
+//!    object's home replica. Receivers record the **netted** delta against
+//!    their replica (what changed, not the gross rewrite) and never touch
+//!    shared state. Replicas outlive a wave, so a stream of waves pays the
+//!    `O(E)` build once; one-shot use is an executor used once.
 //!
 //! 5. **Merge.** After the join, per-shard logs are replayed into the real
-//!    instance and view with [`redo_ops`] — shard-by-shard, one netted
-//!    [`DeltaObserver::batch_end`] per shard — and appended to the
-//!    sequence log, preserving the whole-sequence rollback contract: any
-//!    failure (reported at the *lowest* global receiver index, matching
-//!    the sequential first-failure semantics) rolls everything back via
-//!    [`undo_ops`].
+//!    instance with [`redo_ops`] in shard order and appended to the wave's
+//!    log, preserving the whole-sequence rollback contract: any failure
+//!    (reported at the *lowest* global receiver index, matching the
+//!    sequential first-failure semantics) rolls everything back via
+//!    [`undo_ops`]. Callers that maintain a relational view replay the
+//!    returned log into it ([`ShardedExecutor::apply_planned`] does).
 //!
 //! **Determinism argument.** Within a shard, one worker processes
 //! receivers in sequence order. Across shards, writes are keyed by the
@@ -65,9 +65,11 @@
 //! hundreds of seeded cases, forced fallbacks and mid-sequence rollbacks
 //! included.
 
+use std::borrow::Cow;
+
 use receivers_objectbase::{
-    redo_ops, undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, InstanceTxn, Oid,
-    PropId, Receiver, UpdateMethod,
+    redo_ops, undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, Oid, PropId,
+    Receiver, UpdateMethod,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -76,7 +78,7 @@ use receivers_relalg::RelName;
 use receivers_rt as rt;
 use receivers_wal::{DurableStore, WalResult, WalStorage};
 
-use crate::algebraic::{replace_values, AlgebraicMethod};
+use crate::algebraic::AlgebraicMethod;
 use crate::coloring_bridge::{method_footprint, MethodFootprint};
 
 obs::counter!(C_PLANS, "core.shard.plans");
@@ -303,7 +305,8 @@ impl ShardPlan {
     }
 }
 
-/// Execution knobs for [`apply_sharded`].
+/// Execution knobs for a [`ShardedExecutor`] (and, through it, the SQL
+/// layer's sharded program sessions).
 #[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
     /// Shard count; `None` follows [`rt::num_threads`] so the partition
@@ -368,158 +371,8 @@ pub struct WaveStats {
     pub lanes: Vec<ShardLaneStats>,
 }
 
-/// Apply `method` to each receiver of `order` in turn, semantically
-/// identical to [`AlgebraicMethod::apply_sequence_viewed`] — same final
-/// instance, view, and outcome, bit for bit — but with certified receivers
-/// executed on per-shard worker loops. Plans with [`ShardPlan::new`]; use
-/// [`apply_planned`] to supply a hand-built plan.
-pub fn apply_sharded(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    cfg: &ShardConfig,
-) -> InPlaceOutcome {
-    let shards = cfg.shards.unwrap_or_else(rt::num_threads);
-    let plan = if cfg.upgrade {
-        ShardPlan::with_certificate_upgraded(&certify(method), order, shards)
-    } else {
-        ShardPlan::new(method, order, shards)
-    };
-    apply_planned(method, instance, view, order, &plan, cfg)
-}
-
-/// Convenience for benches and tests: build the view, then
-/// [`apply_sharded`] — the sharded counterpart of
-/// [`UpdateMethod::apply_in_place_sequence`].
-pub fn apply_sequence_sharded(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    order: &[Receiver],
-    cfg: &ShardConfig,
-) -> InPlaceOutcome {
-    if order.is_empty() {
-        return InPlaceOutcome::Applied;
-    }
-    let mut view = DatabaseView::new(instance);
-    apply_sharded(method, instance, &mut view, order, cfg)
-}
-
-/// [`apply_sharded`] with an explicit plan (must cover `order` exactly).
-pub fn apply_planned(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    plan: &ShardPlan,
-    cfg: &ShardConfig,
-) -> InPlaceOutcome {
-    apply_planned_logged(method, instance, view, order, plan, cfg).0
-}
-
-/// [`apply_planned`], additionally returning the wave's concatenated
-/// delta log (in `commit_into` order) so a durable driver can append it
-/// to a write-ahead log. The log is empty unless the outcome is
-/// [`Applied`](InPlaceOutcome::Applied) — a failed wave is fully rolled
-/// back in memory before anything could have been persisted.
-fn apply_planned_logged(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    plan: &ShardPlan,
-    cfg: &ShardConfig,
-) -> (InPlaceOutcome, Vec<DeltaOp>) {
-    assert_eq!(
-        plan.assignments.len(),
-        order.len(),
-        "plan must cover the order"
-    );
-    let _span = obs::span("core.shard.apply");
-    let mut seq_log: Vec<DeltaOp> = Vec::new();
-    let mut i = 0;
-    while i < order.len() {
-        let step = match plan.assignments[i] {
-            Assignment::Coordinated => {
-                C_COORDINATED.incr();
-                apply_coordinated(method, instance, view, &order[i], &mut seq_log).map(|()| i + 1)
-            }
-            Assignment::Local(_) => {
-                let j = (i..order.len())
-                    .find(|&k| !matches!(plan.assignments[k], Assignment::Local(_)))
-                    .unwrap_or(order.len());
-                run_segment(method, instance, view, order, i..j, plan, cfg, &mut seq_log)
-                    .map(|()| j)
-            }
-        };
-        match step {
-            Ok(next) => i = next,
-            Err(msg) => {
-                C_ROLLBACKS.incr();
-                undo_ops(instance, view, &seq_log);
-                return (InPlaceOutcome::Undefined(msg), Vec::new());
-            }
-        }
-    }
-    (InPlaceOutcome::Applied, seq_log)
-}
-
-/// [`apply_sharded`] with durability: the whole wave's delta log is
-/// appended to `store` as **one** WAL record once the wave has fully
-/// applied, and the store checkpoints from the maintained view when its
-/// threshold is crossed. A failed wave rolls back in memory *before*
-/// anything reaches the log, so — unlike the per-receiver durable
-/// sequence driver — no compensation record is ever needed here: the WAL
-/// only ever sees applied waves. `Err` is reserved for storage failures;
-/// on `Err` the in-memory state is ahead of the durable state and the
-/// caller must recover via [`DurableStore::open`].
-pub fn apply_sharded_durable<S: WalStorage>(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    cfg: &ShardConfig,
-    store: &mut DurableStore<S>,
-) -> WalResult<InPlaceOutcome> {
-    let shards = cfg.shards.unwrap_or_else(rt::num_threads);
-    let plan = if cfg.upgrade {
-        ShardPlan::with_certificate_upgraded(&certify(method), order, shards)
-    } else {
-        ShardPlan::new(method, order, shards)
-    };
-    let (outcome, seq_log) = apply_planned_logged(method, instance, view, order, &plan, cfg);
-    if matches!(outcome, InPlaceOutcome::Applied) {
-        store.commit(&seq_log)?;
-        if store.should_checkpoint() {
-            store.checkpoint_db(view.database())?;
-        }
-    }
-    Ok(outcome)
-}
-
-/// The ordered coordinator path: one receiver through the exact
-/// sequential body (validate, evaluate on the shared view, edit under an
-/// observed transaction).
-fn apply_coordinated(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    t: &Receiver,
-    seq_log: &mut Vec<DeltaOp>,
-) -> Result<(), String> {
-    t.validate(method.signature(), instance)
-        .map_err(|e| e.to_string())?;
-    let results = method
-        .evaluate_on(view.database(), t)
-        .map_err(|e| e.to_string())?;
-    let mut txn = InstanceTxn::begin_observed(instance, view);
-    replace_values(&mut txn, t.receiving_object(), &results).map_err(|e| e.to_string())?;
-    txn.commit_into(seq_log);
-    Ok(())
-}
-
-/// An instance-only delta sink for paths that maintain no full relational
-/// view (the [`ShardedExecutor`]'s merge and rollback).
+/// An instance-only delta sink: the [`ShardedExecutor`] maintains no full
+/// relational view, so its merge and rollback edit the instance alone.
 struct NoView;
 
 impl DeltaObserver for NoView {
@@ -642,119 +495,24 @@ fn pruned_database(base: &Database, written: &[PropId], shard: usize, shards: us
     db
 }
 
-/// One maximal run of Local receivers: fan out over the shard worker
-/// loops, then deterministically merge the per-shard logs.
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    method: &AlgebraicMethod,
-    instance: &mut Instance,
-    view: &mut DatabaseView,
-    order: &[Receiver],
-    range: std::ops::Range<usize>,
-    plan: &ShardPlan,
-    cfg: &ShardConfig,
-    seq_log: &mut Vec<DeltaOp>,
-) -> Result<(), String> {
-    C_SEGMENTS.incr();
-    let shards = plan.shards;
-    let mut shard_items: Vec<Vec<(usize, &Receiver)>> = vec![Vec::new(); shards];
-    for gi in range {
-        let Assignment::Local(s) = plan.assignments[gi] else {
-            unreachable!("segment contains only Local receivers");
-        };
-        shard_items[s as usize].push((gi, &order[gi]));
-    }
-    let written = method.updated_properties();
-    let base = view.database();
-    let inst: &Instance = instance;
-
-    // Spawning workers for a handful of receivers costs more than the
-    // receivers themselves (coordinated barriers can chop an order into
-    // many short segments); short segments run inline on the caller.
-    let total: usize = shard_items.iter().map(Vec::len).sum();
-    let pool = if total < 64 {
-        cfg.pool.clone().with_workers(1)
-    } else {
-        cfg.pool.clone()
-    };
-
-    let runs = rt::shard_map(shard_items, &pool, |shard, tasks| {
-        // Side-effect free: the worker builds its pruned replica lazily,
-        // evaluates against it, and records the netted delta its
-        // receivers produce — per shard, in sequence order.
-        let mut replica: Option<DatabaseView> = None;
-        let mut log: Vec<DeltaOp> = Vec::new();
-        let mut scratch = DiffScratch::default();
-        while let Some(batch) = tasks.next_batch() {
-            for (gi, t) in batch {
-                let replica = replica.get_or_insert_with(|| {
-                    DatabaseView::from_database(pruned_database(base, &written, shard, shards))
-                });
-                if let Err(msg) = apply_on_replica(method, inst, replica, t, &mut log, &mut scratch)
-                {
-                    return ShardRun {
-                        log: Vec::new(),
-                        err: Some((gi, msg)),
-                        ..ShardRun::default()
-                    };
-                }
-                C_LOCAL.incr();
-            }
-        }
-        ShardRun {
-            log,
-            err: None,
-            ..ShardRun::default()
-        }
-    });
-
-    // Sequential first-failure semantics: certified receivers succeed or
-    // fail identically on the shard and coordinator paths, so the lowest
-    // failing global index is exactly the receiver the sequential
-    // application would have stopped at.
-    if let Some((_, msg)) = runs
-        .iter()
-        .filter_map(|r| r.err.as_ref())
-        .min_by_key(|(gi, _)| *gi)
-    {
-        return Err(msg.clone());
-    }
-
-    // Deterministic merge: shard order, one netted batch_end per shard.
-    // Cross-shard logs edit disjoint (src, prop) row groups, so this
-    // equals the sequential interleaving on the order-insensitive
-    // containers (see the module docs).
-    let _merge = obs::span("core.shard.merge");
-    for run in runs {
-        if run.log.is_empty() {
-            continue;
-        }
-        C_MERGED_OPS.add(run.log.len() as u64);
-        redo_ops(instance, view, &run.log);
-        view.batch_end();
-        seq_log.extend_from_slice(&run.log);
-    }
-    Ok(())
-}
-
-/// Persistent sharded execution of one method: the per-shard pruned
-/// replicas outlive a single [`apply`](ShardedExecutor::apply), so a
-/// stream of receiver sequences — reconciliation waves, incremental
-/// loads — pays the `O(E)` replica construction once and thereafter only
-/// `O(changed)` per wave.
+/// Sharded execution of one method: the only sharded engine. The
+/// per-shard pruned replicas outlive a single
+/// [`apply`](ShardedExecutor::apply), so a stream of receiver sequences —
+/// reconciliation waves, incremental loads — pays the `O(E)` replica
+/// construction once and thereafter only `O(changed)` per wave; one-shot
+/// sharding is an executor used once.
 ///
-/// This is the steady-state counterpart of the one-shot
-/// [`apply_sharded`]: same certification, same planner, same netted
-/// per-shard delta logs, same bit-identical final instance — but the
-/// executor maintains **no full relational view at all**. Certified
+/// The executor maintains **no full relational view**. Certified
 /// receivers (local *and* coordinated) evaluate against the receiving
 /// object's home replica, which is exact because a certified method reads
 /// written properties only through keep arms pinned to `self` (rows the
 /// home replica holds), and everything else it reads — class relations,
 /// read-only properties — is never pruned and never changes under the
-/// method. Cross-shard receivers still run on the ordered coordinator
-/// path (caller thread, between segments), preserving the barrier
-/// semantics.
+/// method. Cross-shard receivers run on the ordered coordinator path
+/// (caller thread, between segments), preserving the barrier semantics.
+/// A caller that keeps a view replays the wave's delta log into it
+/// ([`apply_logged`](Self::apply_logged),
+/// [`apply_planned`](Self::apply_planned)).
 ///
 /// **Stewardship contract:** between applies the executor assumes the
 /// instance is not mutated behind its back — replicas are maintained
@@ -764,8 +522,8 @@ fn run_segment(
 /// instance back and invalidates automatically.
 ///
 /// Methods that do not certify ([`ShardCertificate::shard_safe`] false)
-/// degrade to the plain sequential path inside `apply` — correct, just
-/// not sharded.
+/// degrade to the plain sequential path inside `apply`, `apply_durable`
+/// and `apply_planned` — correct, just not sharded.
 pub struct ShardedExecutor<'m> {
     method: &'m AlgebraicMethod,
     certificate: ShardCertificate,
@@ -863,6 +621,16 @@ impl<'m> ShardedExecutor<'m> {
         }
     }
 
+    /// The plan the executor runs `order` under: the co-shard rule, or the
+    /// home-replica upgrade when the config asks for it.
+    pub fn plan(&self, order: &[Receiver]) -> ShardPlan {
+        if self.upgrade {
+            ShardPlan::with_certificate_upgraded(&self.certificate, order, self.shards)
+        } else {
+            ShardPlan::with_certificate(&self.certificate, order, self.shards)
+        }
+    }
+
     /// Apply `method` to each receiver of `order` in turn — semantically
     /// identical to the sequential path on the instance (same final
     /// instance, same outcome), with certified receivers on per-shard
@@ -877,6 +645,40 @@ impl<'m> ShardedExecutor<'m> {
             return self.method.apply_in_place_sequence(instance, order);
         }
         self.apply_logged(instance, order).0
+    }
+
+    /// [`ShardedExecutor::apply`] under an explicit `plan` (covering
+    /// `order`, over this executor's shard count), with `view` maintained
+    /// from the wave's delta log — bit-identical to
+    /// [`AlgebraicMethod::apply_sequence_viewed`]. Tests and benches use
+    /// it to force coordinator fallbacks ([`ShardPlan::coordinate`]) or an
+    /// upgraded plan. The plan never overrides the certificate: a method
+    /// that is not shard-safe still takes the sequential path.
+    pub fn apply_planned(
+        &mut self,
+        instance: &mut Instance,
+        view: &mut DatabaseView,
+        order: &[Receiver],
+        plan: &ShardPlan,
+    ) -> InPlaceOutcome {
+        assert_eq!(
+            plan.assignments.len(),
+            order.len(),
+            "plan must cover the order"
+        );
+        assert_eq!(
+            plan.shards, self.shards,
+            "plan must use the executor's shards"
+        );
+        if !self.certificate.shard_safe() {
+            return self.method.apply_sequence_viewed(instance, view, order);
+        }
+        let (outcome, log) = self.run_wave(instance, order, Some(plan), None);
+        for op in &log {
+            view.applied(op);
+        }
+        view.batch_end();
+        outcome
     }
 
     /// [`ShardedExecutor::apply`] with durability: the wave's delta log
@@ -915,19 +717,18 @@ impl<'m> ShardedExecutor<'m> {
         Ok(outcome)
     }
 
-    /// The certified wave body shared by [`ShardedExecutor::apply`] and
-    /// [`ShardedExecutor::apply_durable`]; returns the wave's delta log
-    /// alongside the outcome (empty unless `Applied`). Public so program
-    /// executors (the `sql::plan` sharded driver) can replay the log into
-    /// their own maintained views; the caller must hold a shard-safe
-    /// certificate — this body runs certified receivers on worker loops
-    /// without the `apply` fallback check.
+    /// The certified wave body shared by the apply methods; returns the
+    /// wave's delta log alongside the outcome (empty unless `Applied`).
+    /// Public so program executors (the `sql::plan` sharded session) can
+    /// replay the log into their own maintained views; the caller must
+    /// hold a shard-safe certificate — this body runs certified receivers
+    /// on worker loops without the `apply` fallback check.
     pub fn apply_logged(
         &mut self,
         instance: &mut Instance,
         order: &[Receiver],
     ) -> (InPlaceOutcome, Vec<DeltaOp>) {
-        self.apply_logged_inner(instance, order, None)
+        self.run_wave(instance, order, None, None)
     }
 
     /// [`apply_logged`](Self::apply_logged), additionally measuring the
@@ -940,24 +741,21 @@ impl<'m> ShardedExecutor<'m> {
         order: &[Receiver],
     ) -> (InPlaceOutcome, Vec<DeltaOp>, WaveStats) {
         let mut stats = WaveStats::default();
-        let (outcome, log) = self.apply_logged_inner(instance, order, Some(&mut stats));
+        let (outcome, log) = self.run_wave(instance, order, None, Some(&mut stats));
         (outcome, log, stats)
     }
 
-    fn apply_logged_inner(
+    /// One wave under `plan` (the executor's own plan when `None`).
+    fn run_wave(
         &mut self,
         instance: &mut Instance,
         order: &[Receiver],
+        plan: Option<&ShardPlan>,
         mut stats: Option<&mut WaveStats>,
     ) -> (InPlaceOutcome, Vec<DeltaOp>) {
         let _span = obs::span("core.shard.apply");
-        let plan = if self.upgrade {
-            ShardPlan::with_certificate_upgraded(&self.certificate, order, self.shards)
-        } else {
-            ShardPlan::with_certificate(&self.certificate, order, self.shards)
-        };
+        let plan = plan.map_or_else(|| Cow::Owned(self.plan(order)), Cow::Borrowed);
         self.ensure_replicas(instance);
-
         let mut seq_log: Vec<DeltaOp> = Vec::new();
         let mut i = 0;
         let mut failed: Option<String> = None;
@@ -997,7 +795,7 @@ impl<'m> ShardedExecutor<'m> {
                     let j = (i..order.len())
                         .find(|&k| !matches!(plan.assignments[k], Assignment::Local(_)))
                         .unwrap_or(order.len());
-                    match self.run_persistent_segment(
+                    match self.run_segment(
                         instance,
                         order,
                         i..j,
@@ -1031,7 +829,7 @@ impl<'m> ShardedExecutor<'m> {
 
     /// One maximal run of Local receivers against the persistent
     /// replicas, netted logs merged into the instance in shard order.
-    fn run_persistent_segment(
+    fn run_segment(
         &self,
         instance: &mut Instance,
         order: &[Receiver],
@@ -1048,6 +846,9 @@ impl<'m> ShardedExecutor<'m> {
             };
             shard_items[s as usize].push((gi, &order[gi]));
         }
+        // Spawning workers for a handful of receivers costs more than the
+        // receivers themselves (coordinated barriers can chop an order into
+        // many short segments); short segments run inline on the caller.
         let total: usize = shard_items.iter().map(Vec::len).sum();
         let pool = if total < 64 {
             self.pool.clone().with_workers(1)
@@ -1095,6 +896,10 @@ impl<'m> ShardedExecutor<'m> {
             }
         });
 
+        // Sequential first-failure semantics: certified receivers succeed or
+        // fail identically on the shard and coordinator paths, so the lowest
+        // failing global index is exactly the receiver the sequential
+        // application would have stopped at.
         if let Some((_, msg)) = runs
             .iter()
             .filter_map(|r| r.err.as_ref())
@@ -1122,6 +927,9 @@ impl<'m> ShardedExecutor<'m> {
             }
         }
 
+        // Deterministic merge in shard order: cross-shard logs edit disjoint
+        // (src, prop) row groups, so this equals the sequential interleaving
+        // on the order-insensitive containers (see the module docs).
         let _merge = obs::span("core.shard.merge");
         for run in runs {
             if run.log.is_empty() {
@@ -1238,7 +1046,8 @@ mod tests {
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 32);
         let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &up, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let out = exec.apply_planned(&mut i, &mut view, &order, &up);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
         assert!(view.matches_rebuild(&i));
@@ -1251,8 +1060,8 @@ mod tests {
     /// `delete_bar` reads the property it writes, but only at the
     /// receiving drinker (see `methods.rs`: `π_f(self ⋈ Df ⋈≠ arg)`), so
     /// the conflict is honestly dischargeable — and the discharged
-    /// certificate runs it sharded, bit-identical to sequential, on both
-    /// the one-shot planned path and the persistent executor.
+    /// certificate runs it sharded, bit-identical to sequential, under
+    /// both an explicit upgraded plan and the executor's own plan.
     #[test]
     fn discharged_delete_bar_runs_sharded_and_matches_sequential() {
         let s = beer_schema();
@@ -1273,7 +1082,8 @@ mod tests {
         assert_eq!(plan.coordinated_count(), 0);
         let mut i = crowd(&s, 24);
         let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &plan, &cfg(4, 2));
+        let mut planned = ShardedExecutor::with_certificate(&m, cert.clone(), &cfg(4, 2));
+        let out = planned.apply_planned(&mut i, &mut view, &order, &plan);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
         assert!(view.matches_rebuild(&i));
@@ -1333,7 +1143,8 @@ mod tests {
     }
 
     /// Bit-identical to the sequential path across shard/worker counts,
-    /// for a certified method with mixed local/coordinated receivers.
+    /// for a certified method with mixed local/coordinated receivers: a
+    /// fresh executor used once, its wave replayed into a caller's view.
     #[test]
     fn sharded_apply_matches_sequential() {
         let s = beer_schema();
@@ -1347,7 +1158,9 @@ mod tests {
         for (shards, workers) in [(1, 1), (2, 2), (4, 2), (7, 3)] {
             let mut i = crowd(&s, 24);
             let mut view = DatabaseView::new(&i);
-            let out = apply_sharded(&m, &mut i, &mut view, &order, &cfg(shards, workers));
+            let mut exec = ShardedExecutor::new(&m, &cfg(shards, workers));
+            let plan = exec.plan(&order);
+            let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
             assert_eq!(out, InPlaceOutcome::Applied);
             assert_eq!(i, reference, "{shards} shards / {workers} workers");
             assert!(view.matches_rebuild(&i));
@@ -1371,7 +1184,8 @@ mod tests {
         }
         let mut i = crowd(&s, 16);
         let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &plan, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
         assert!(view.matches_rebuild(&i));
@@ -1391,7 +1205,9 @@ mod tests {
         let snapshot = i.clone();
         let mut view = DatabaseView::new(&i);
         let view_snapshot = view.clone();
-        let out = apply_sharded(&m, &mut i, &mut view, &order, &cfg(3, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2));
+        let plan = exec.plan(&order);
+        let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
         assert_eq!(i, snapshot);
         assert_eq!(view, view_snapshot);
@@ -1520,8 +1336,9 @@ mod tests {
         assert_eq!(exec.replicas_built(), 0);
     }
 
-    /// An uncertified method degrades to the coordinator path end to end —
-    /// still correct, no shard workers involved.
+    /// An uncertified method under an explicit plan still takes the
+    /// sequential path, view maintained — even a hand-built plan with
+    /// Local receivers cannot move it onto replicas.
     #[test]
     fn uncertified_methods_run_coordinated_and_match() {
         let s = beer_schema();
@@ -1533,9 +1350,20 @@ mod tests {
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 10);
         let mut view = DatabaseView::new(&i);
-        let out = apply_sharded(&m, &mut i, &mut view, &order, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        // A plan forged from the conflict-discharged certificate.
+        let mut forged = certify(&m);
+        assert!(forged.discharge(s.frequents));
+        let forced = ShardPlan::with_certificate_upgraded(&forged, &order, 4);
+        assert!(
+            forced.local_count() > 0,
+            "the forged plan puts receivers on lanes"
+        );
+        let out = exec.apply_planned(&mut i, &mut view, &order, &forced);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
+        assert!(view.matches_rebuild(&i));
+        assert_eq!(exec.replicas_built(), 0, "no replica for an unsafe method");
     }
 
     /// Fallback-path counters are exported through the metrics registry:
@@ -1554,7 +1382,8 @@ mod tests {
         plan.coordinate(0);
         let mut i = crowd(&s, 8);
         let mut view = DatabaseView::new(&i);
-        let out = apply_planned(&m, &mut i, &mut view, &order, &plan, &cfg(2, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(2, 2));
+        let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
         let after = obs::metrics_snapshot();
         assert_eq!(out, InPlaceOutcome::Applied);
 
@@ -1580,7 +1409,9 @@ mod tests {
         let mut j = i.clone();
         let seq = m.apply_in_place_sequence(&mut i, &bad);
         let mut view = DatabaseView::new(&j);
-        let shard = apply_sharded(&m, &mut j, &mut view, &bad, &cfg(2, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(2, 2));
+        let plan = exec.plan(&bad);
+        let shard = exec.apply_planned(&mut j, &mut view, &bad, &plan);
         assert_eq!(seq, shard);
         assert!(matches!(shard, InPlaceOutcome::Undefined(_)));
     }

@@ -9,11 +9,19 @@
 //! * [`ProgramPlan::execute_viewed`] — the sequential in-place driver over
 //!   a maintained [`DatabaseView`], batching set-oriented stages through
 //!   the vectorized appliers of [`receivers_core::algebraic`];
-//! * [`ProgramPlan::execute_sharded`] / [`ShardSession`] — certified
-//!   stages on the [`receivers_core::shard`] per-shard worker loops, with
-//!   certificates discharged from footprints *read off the DAG*;
+//! * [`ProgramPlan::shard_session`] — certified algebraic stages on the
+//!   [`receivers_core::shard`] per-shard worker loops, with certificates
+//!   discharged from footprints *read off the DAG*;
 //! * [`ProgramPlan::execute_durable`] — the same pipeline writing every
 //!   committed batch through a [`DurableStore`] write-ahead log.
+//!
+//! All three run one private stage loop: each stage computes its input
+//! (rows, assignments, `par` pairs or a cursor order) against the
+//! maintained view, then applies it through the run's observer — the
+//! view, or a [`DurableSink`] around it. Only algebraic cursor stages
+//! consult the placement (sharded executor, durable or viewed sequence
+//! driver); each driver's `*_profiled` twin is the same loop with a
+//! profile node attached.
 //!
 //! Three planner passes run between lowering and execution, in order:
 //!
@@ -50,7 +58,7 @@ use receivers_core::algebraic::{
 use receivers_core::shard::{certify, ShardConfig, ShardedExecutor, WaveStats};
 use receivers_core::AlgebraicMethod;
 use receivers_objectbase::{
-    ClassId, DeltaObserver, InPlaceOutcome, Instance, Oid, PropId, Receiver, Signature,
+    ClassId, DeltaObserver, InPlaceOutcome, Instance, InstanceTxn, Oid, PropId, Receiver, Signature,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -59,11 +67,13 @@ use receivers_relalg::par::par;
 use receivers_relalg::typecheck::{infer_schema, rec_params};
 use receivers_relalg::view::DatabaseView;
 use receivers_relalg::{Expr, RelSchema, Relation};
-use receivers_wal::{DurableSink, DurableStore, WalStorage};
+use receivers_wal::{DurableSink, DurableStore, WalStats, WalStorage};
 
 use crate::ast::{ColumnRef, Condition, CursorBody, Projection, Select, SqlStatement};
 use crate::catalog::{Catalog, TableInfo};
-use crate::compile::{compile, select_to_expr, CompiledStatement, SetUpdate};
+use crate::compile::{
+    compile, select_to_expr, CompiledStatement, CursorDelete, CursorUpdate, SetUpdate,
+};
 use crate::error::{Result, SqlError};
 use crate::eval::{eval_condition, eval_select, Binding, Scopes};
 use crate::footprint::{Footprint, Write};
@@ -370,7 +380,9 @@ impl std::fmt::Display for RewriteSelect<'_> {
 /// mirrors the name resolution of [`crate::compile`] (unqualified columns
 /// prefer the loop/target table, then the visible `FROM` tables) but is
 /// *tolerant*: unresolvable references are skipped, because the lint
-/// layer's name-resolution pass already reports them with spans.
+/// layer's name-resolution pass already reports them with spans. It only
+/// notes that one was seen: such a statement fails when evaluated, so the
+/// netting pass must not count on it.
 pub(crate) struct ReadCollector<'a> {
     catalog: &'a Catalog,
     outer: Option<&'a TableInfo>,
@@ -378,6 +390,8 @@ pub(crate) struct ReadCollector<'a> {
     pub reads: BTreeSet<PropId>,
     /// Table names referenced so far.
     pub tables: BTreeSet<String>,
+    /// A table, alias or column reference failed to resolve.
+    unresolved: bool,
 }
 
 impl<'a> ReadCollector<'a> {
@@ -387,6 +401,7 @@ impl<'a> ReadCollector<'a> {
             outer,
             reads: BTreeSet::new(),
             tables: BTreeSet::new(),
+            unresolved: false,
         }
     }
 
@@ -399,8 +414,11 @@ impl<'a> ReadCollector<'a> {
             Condition::InTable(c, table) | Condition::NotInTable(c, table) => {
                 self.column(&c.qualifier, &c.column, scopes);
                 self.tables.insert(table.clone());
-                if let Ok((_info, prop)) = self.catalog.single_column(table) {
-                    self.reads.insert(prop);
+                match self.catalog.single_column(table) {
+                    Ok((_info, prop)) => {
+                        self.reads.insert(prop);
+                    }
+                    Err(_) => self.unresolved = true,
                 }
             }
             Condition::Exists(select) => self.select(select, scopes),
@@ -415,8 +433,9 @@ impl<'a> ReadCollector<'a> {
         let mut scopes = outer_scopes.to_vec();
         for item in &select.from {
             self.tables.insert(item.table.clone());
-            if let Ok(info) = self.catalog.lookup(&item.table) {
-                scopes.push((item.name(), info));
+            match self.catalog.lookup(&item.table) {
+                Ok(info) => scopes.push((item.name(), info)),
+                Err(_) => self.unresolved = true,
             }
         }
         if let Some(w) = &select.where_clause {
@@ -439,8 +458,13 @@ impl<'a> ReadCollector<'a> {
                     .map(|(_, t)| *t),
             },
         };
-        if let Some(prop) = table.and_then(|t| t.column_prop(column)) {
-            self.reads.insert(prop);
+        match table {
+            Some(t) if t.has_column(column) => {
+                if let Some(prop) = t.column_prop(column) {
+                    self.reads.insert(prop);
+                }
+            }
+            _ => self.unresolved = true,
         }
     }
 
@@ -468,6 +492,12 @@ impl<'a> ReadCollector<'a> {
 /// and guard read off the root and its selector chain. This *is* the
 /// footprint walk now — [`crate::footprint::footprint`] delegates here.
 pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footprint {
+    resolved_footprint(graph, root, catalog).0
+}
+
+/// [`footprint_of`], plus whether every table, alias and column the
+/// statement references resolved.
+fn resolved_footprint(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> (Footprint, bool) {
     let mut fp = Footprint::default();
     let target = match graph.node(root) {
         PlanNode::Assign { table, .. } | PlanNode::Delete { table, .. } => table.clone(),
@@ -536,7 +566,7 @@ pub fn footprint_of(graph: &PlanGraph, root: NodeId, catalog: &Catalog) -> Footp
     );
     fp.reads = rc.reads;
     fp.tables.append(&mut rc.tables);
-    fp
+    (fp, !rc.unresolved)
 }
 
 /// Properties read by a single condition against `outer`, its row bound
@@ -762,6 +792,9 @@ pub struct Stage {
     values: Option<NodeId>,
     root: NodeId,
     footprint: Footprint,
+    /// Every name the statement references resolves; a stage that fails
+    /// this fails when evaluated.
+    resolved: bool,
     guard_reads: BTreeSet<PropId>,
     guard_key: Option<String>,
     algebraic: Option<AlgebraicMethod>,
@@ -946,7 +979,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             }
         };
 
-        let footprint = footprint_of(&b.graph, lowered.root, catalog);
+        let (footprint, resolved) = resolved_footprint(&b.graph, lowered.root, catalog);
         // The guard node may be shared with an earlier stage: read it
         // with the variable it was lowered under.
         let guard_reads = match b.graph.node(lowered.rows) {
@@ -965,6 +998,7 @@ pub fn compile_program(program: &[SqlStatement], catalog: &Catalog) -> Result<Pr
             values: lowered.values,
             root: lowered.root,
             footprint,
+            resolved,
             guard_reads,
             guard_key: lowered.guard_key,
             algebraic,
@@ -1122,6 +1156,9 @@ fn catalog_digest(catalog: &Catalog) -> u64 {
 /// it. The conditions, checked syntactically off the DAG footprints with
 /// [`Solver::implies`] backing the guard comparison:
 ///
+/// * every name in the stages `(i, j]` resolves — a stage that fails
+///   leaves the program with the netted store's effect in place under
+///   the one-at-a-time semantics, so nothing may be netted across it;
 /// * `j` writes the same `(table, property)` and does not read it;
 /// * no stage in `(i, j]` reads the property, and no stage in `(i, j)`
 ///   deletes (a delete changes class membership, which guards observe);
@@ -1146,6 +1183,9 @@ fn net_pass(plan: &mut ProgramPlan) {
             if plan.stages[j].netted {
                 // A netted stage never executes: invisible to the scan.
                 continue;
+            }
+            if !plan.stages[j].resolved {
+                break;
             }
             let candidate = match &plan.stages[j].footprint.write {
                 Some(Write::Update { table, prop, .. }) => *prop == pi && *table == ti,
@@ -1462,52 +1502,51 @@ pub(crate) fn stage_node(idx: usize, stage: &Stage) -> obs::ProfileNode {
     n
 }
 
+/// What a profiled stage's measurements are diffed against.
+struct StageMark {
+    start_ns: u64,
+    t0: std::time::Instant,
+    cache_hits: u64,
+    cache_misses: u64,
+    /// The store's counters, on a durable run.
+    wal: Option<WalStats>,
+}
+
 /// Stamp measured timings/rows onto a stage node and push it under the
 /// profile root.
-#[allow(clippy::too_many_arguments)]
 fn push_stage_profile<'a>(
     prof: &'a mut obs::ProfileNode,
     idx: usize,
     stage: &Stage,
-    start_ns: u64,
-    t0: std::time::Instant,
+    mark: &StageMark,
     meter: &StageMeter,
-    cache_hits: u64,
-    cache_misses: u64,
+    cache: &ExecCache<'_>,
 ) -> &'a mut obs::ProfileNode {
     let mut node = stage_node(idx, stage);
-    node.start_ns = start_ns;
-    node.wall_ns = t0.elapsed().as_nanos() as u64;
+    node.start_ns = mark.start_ns;
+    node.wall_ns = mark.t0.elapsed().as_nanos() as u64;
     node.rows_in = meter.rows_in;
     node.rows_out = meter.rows_out;
-    node.set_metric("selector_cache_hits", cache_hits);
-    node.set_metric("selector_cache_misses", cache_misses);
+    node.set_metric("selector_cache_hits", cache.hits - mark.cache_hits);
+    node.set_metric("selector_cache_misses", cache.misses - mark.cache_misses);
     prof.children.push(node);
     prof.children.last_mut().expect("just pushed")
 }
 
-/// Finish a profiled driver run: stamp the root's timing and, when the
-/// flight recorder is on, retain the whole rendered profile in the ring.
-fn finish_profile(root: &mut obs::ProfileNode, start_ns: u64, t0: std::time::Instant) {
-    root.start_ns = start_ns;
-    root.wall_ns = t0.elapsed().as_nanos() as u64;
-    if obs::flight_enabled() {
-        obs::flight::flight_record(
-            "profile",
-            format!("{} ({:.3} ms)", root.name, root.wall_ns as f64 / 1e6),
-            Some(obs::render_profile_json(root)),
-        );
+/// The `wal` child of a durable stage's profile node: the stage's log
+/// appends, priced off the store's counters before (`w0`) and after (`w`).
+fn wal_profile(start_ns: u64, w0: &WalStats, w: &WalStats) -> obs::ProfileNode {
+    let mut wal = obs::ProfileNode::new("wal", "wal-append");
+    wal.start_ns = start_ns;
+    wal.wall_ns = w.sync_ns - w0.sync_ns;
+    wal.set_metric("records", w.records - w0.records);
+    wal.set_metric("bytes", w.bytes - w0.bytes);
+    wal.set_metric("syncs", w.syncs - w0.syncs);
+    wal.set_metric("sync_ns", w.sync_ns - w0.sync_ns);
+    if w.checkpoints > w0.checkpoints {
+        wal.set_metric("checkpoints", w.checkpoints - w0.checkpoints);
     }
-}
-
-/// The sorted receiver order a cursor stage iterates in — the same
-/// [`ReceiverSet::canonical_order`] the legacy per-statement path uses.
-fn cursor_order(stage: &Stage, instance: &Instance) -> Vec<Receiver> {
-    match &stage.compiled {
-        CompiledStatement::CursorUpdate(cu) => cu.receivers(instance).canonical_order(),
-        CompiledStatement::CursorDelete(cd) => cd.receivers(instance).canonical_order(),
-        _ => unreachable!("only cursor stages have receiver orders"),
-    }
+    wal
 }
 
 /// An improved stage's vectorized result: the full receiver set and the
@@ -1533,6 +1572,255 @@ fn par_pairs(query: &Expr, class: ClassId, rows: &[Oid], db: &Database) -> Resul
         1 => rel.tuples().map(|t| (t[0], t[0])).collect(),
         _ => rel.tuples().map(|t| (t[0], t[1])).collect(),
     })
+}
+
+/// A stage's input, computed against the maintained view before the
+/// stage's first write.
+enum StageInput<'p> {
+    /// Writes the run applies through its observer.
+    Writes(Writes<'p>),
+    /// An algebraic cursor update: its method and receiver order, placed
+    /// by the run (see [`Mode`]).
+    Sequence(&'p AlgebraicMethod, Vec<Receiver>),
+}
+
+/// The writes of a non-algebraic stage.
+enum Writes<'p> {
+    /// Set delete: the guarded rows.
+    Delete(Rc<[Oid]>),
+    /// Set update: every guarded row with its new values.
+    Assign(PropId, Assignments),
+    /// Improved update: the receiver set and its `par(E)` pairs.
+    Replace(PropId, ImprovedPairs),
+    /// Cursor delete: the receivers in canonical order, each guard
+    /// re-evaluated against the mutating instance.
+    DeleteLoop(&'p CursorDelete, Vec<Receiver>),
+    /// Cursor update with no algebraic form: likewise, guard and values
+    /// per receiver.
+    UpdateLoop(&'p CursorUpdate, Vec<Receiver>),
+}
+
+impl Writes<'_> {
+    /// Apply the writes through `observer` — the view, or a
+    /// [`DurableSink`] around it. The cursor loops run the interpreted
+    /// [`crate::compile::CursorDeleteMethod`] /
+    /// [`crate::compile::CursorUpdateMethod`] semantics in place, one
+    /// observed transaction per receiver that writes.
+    fn apply(
+        self,
+        var: &str,
+        instance: &mut Instance,
+        observer: &mut dyn DeltaObserver,
+        meter: &mut StageMeter,
+    ) -> Result<()> {
+        match self {
+            Writes::Delete(rows) => apply_delete_batch(instance, observer, &rows),
+            Writes::Assign(prop, assigns) => {
+                apply_assignment_batch(instance, observer, prop, &assigns)?
+            }
+            Writes::Replace(prop, (receiving, pairs)) => {
+                apply_replacement_batch(instance, observer, prop, &receiving, &pairs)?
+            }
+            Writes::DeleteLoop(cd, order) => {
+                for t in &order {
+                    let tuple = t.receiving_object();
+                    let fire = match &cd.condition {
+                        Some(c) => {
+                            let scopes: Scopes<'_> = vec![Binding {
+                                alias: var.to_owned(),
+                                table: cd.table(),
+                                tuple,
+                            }];
+                            eval_condition(c, &scopes, cd.catalog(), instance)?
+                        }
+                        None => true,
+                    };
+                    if fire {
+                        meter.rows_out += 1;
+                        let mut txn = InstanceTxn::begin_observed(instance, observer);
+                        txn.remove_object_cascade(tuple);
+                        txn.commit();
+                    }
+                }
+            }
+            Writes::UpdateLoop(cu, order) => {
+                for t in &order {
+                    let tuple = t.receiving_object();
+                    let scopes: Scopes<'_> = vec![Binding {
+                        alias: var.to_owned(),
+                        table: cu.table(),
+                        tuple,
+                    }];
+                    if let Some(guard) = &cu.condition {
+                        if !eval_condition(guard, &scopes, cu.catalog(), instance)? {
+                            continue;
+                        }
+                    }
+                    let values = eval_select(cu.select(), &scopes, cu.catalog(), instance)?;
+                    meter.rows_out += 1;
+                    let mut txn = InstanceTxn::begin_observed(instance, observer);
+                    txn.replace_successors(cu.property, &[(tuple, &values)])?;
+                    txn.commit();
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What a run adds to the maintained view every run keeps: the observer
+/// writes go through, and the placement of algebraic cursor stages.
+enum Mode<'r, 'p, S: WalStorage> {
+    /// Writes go into the view; algebraic cursor stages run
+    /// [`AlgebraicMethod::apply_sequence_viewed`].
+    Viewed,
+    /// Writes go through a [`DurableSink`] around the view, which then
+    /// checkpoints when due; algebraic cursor stages run
+    /// [`AlgebraicMethod::apply_sequence_durable`], which logs and
+    /// checkpoints per receiver itself.
+    Durable(&'r mut DurableStore<S>),
+    /// Writes go into the view; algebraic cursor stages run on the
+    /// session's per-stage [`ShardedExecutor`] when certified shard-safe,
+    /// on [`AlgebraicMethod::apply_sequence_viewed`] otherwise.
+    Sharded(&'r ShardConfig, &'r mut [Option<ShardedExecutor<'p>>]),
+}
+
+/// The storage type of the runs without a store (only [`Mode::Durable`]
+/// names one).
+type NoStore = receivers_wal::DirStorage;
+
+/// Where a sharded run placed an algebraic cursor stage.
+struct Placement {
+    /// On the stage's executor rather than the ordered coordinator path.
+    sharded: bool,
+    /// The wave's lane measurements, collected when profiling.
+    wave: Option<WaveStats>,
+}
+
+impl Placement {
+    /// Record the placement decision, and the wave's lanes, on the
+    /// stage's profile node.
+    fn stamp(&self, node: &mut obs::ProfileNode, start_ns: u64) {
+        node.add_note(if self.sharded {
+            "certified shard-safe — per-shard worker loops"
+        } else {
+            "certificate not shard-safe — ordered coordinator path"
+        });
+        let Some(w) = &self.wave else { return };
+        node.set_metric("local_receivers", w.local_receivers);
+        node.set_metric("coordinated_receivers", w.coordinated_receivers);
+        node.set_metric("segments", w.segments);
+        for lane in w.lanes.iter().filter(|l| l.receivers > 0 || l.batches > 0) {
+            let mut ln = obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
+            ln.start_ns = start_ns;
+            ln.wall_ns = lane.busy_ns;
+            ln.rows_in = lane.receivers;
+            ln.rows_out = lane.receivers;
+            ln.set_metric("receivers", lane.receivers);
+            ln.set_metric("batches", lane.batches);
+            ln.set_metric("queue_wait_ns", lane.wait_ns);
+            node.children.push(ln);
+        }
+    }
+}
+
+impl<'p, S: WalStorage> Mode<'_, 'p, S> {
+    /// Apply one stage's input to `instance` and `view`. A durable run
+    /// surfaces a parked storage error ahead of the stage's own result,
+    /// then checkpoints when due.
+    #[allow(clippy::too_many_arguments)]
+    fn apply(
+        &mut self,
+        plan: &'p ProgramPlan,
+        idx: usize,
+        input: StageInput<'p>,
+        instance: &mut Instance,
+        view: &mut DatabaseView,
+        meter: &mut StageMeter,
+        profiled: bool,
+    ) -> Result<(InPlaceOutcome, Option<Placement>)> {
+        let var = &plan.stages[idx].var;
+        let (method, order) = match (input, &mut *self) {
+            (StageInput::Writes(w), Mode::Durable(store)) => {
+                let mut sink = DurableSink::new(store, view);
+                let applied = w.apply(var, instance, &mut sink, meter);
+                if let Some(e) = sink.take_error() {
+                    return Err(e.into());
+                }
+                applied?;
+                if store.should_checkpoint() {
+                    store.checkpoint_db(view.database())?;
+                }
+                return Ok((InPlaceOutcome::Applied, None));
+            }
+            (StageInput::Writes(w), _) => {
+                w.apply(var, instance, view, meter)?;
+                return Ok((InPlaceOutcome::Applied, None));
+            }
+            (StageInput::Sequence(m, order), _) => (m, order),
+        };
+        Ok(match self {
+            Mode::Viewed => (method.apply_sequence_viewed(instance, view, &order), None),
+            Mode::Durable(store) => (
+                method.apply_sequence_durable(instance, view, &order, store)?,
+                None,
+            ),
+            Mode::Sharded(cfg, execs) => {
+                let exec = execs[idx].get_or_insert_with(|| {
+                    let (certificate, _proofs) = plan
+                        .shard_certificate(idx)
+                        .expect("algebraic stages certify");
+                    ShardedExecutor::with_certificate(method, certificate, cfg)
+                });
+                if !exec.certificate().shard_safe() {
+                    let outcome = method.apply_sequence_viewed(instance, view, &order);
+                    let placement = Placement {
+                        sharded: false,
+                        wave: None,
+                    };
+                    return Ok((outcome, Some(placement)));
+                }
+                let (outcome, log, wave) = if profiled {
+                    let (outcome, log, wave) = exec.apply_logged_stats(instance, &order);
+                    (outcome, log, Some(wave))
+                } else {
+                    let (outcome, log) = exec.apply_logged(instance, &order);
+                    (outcome, log, None)
+                };
+                // Replay the wave's delta log (empty unless it applied)
+                // into the view.
+                for op in &log {
+                    view.applied(op);
+                }
+                view.batch_end();
+                let placement = Placement {
+                    sharded: true,
+                    wave,
+                };
+                (outcome, Some(placement))
+            }
+        })
+    }
+
+    /// After stage `idx` ran — applied, rolled back or failed part-way —
+    /// every other stage's executor replicas are stale.
+    fn stage_ran(&mut self, idx: usize) {
+        if let Mode::Sharded(_, execs) = self {
+            for (k, exec) in execs.iter_mut().enumerate() {
+                match exec {
+                    Some(exec) if k != idx => exec.invalidate(),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    fn wal_stats(&self) -> Option<WalStats> {
+        match self {
+            Mode::Durable(store) => Some(store.stats()),
+            _ => None,
+        }
+    }
 }
 
 impl ProgramPlan {
@@ -1568,175 +1856,77 @@ impl ProgramPlan {
         Ok((rows.iter().copied().collect(), pairs))
     }
 
-    /// Run a cursor delete's ordered loop: guard re-evaluated per
-    /// receiver against the mutating instance, every fired delete one
-    /// observed transaction — exactly the interpreted
-    /// [`crate::compile::CursorDeleteMethod`] semantics, in place.
-    fn run_cursor_delete(
-        &self,
-        stage: &Stage,
-        instance: &mut Instance,
-        observer: &mut dyn DeltaObserver,
+    /// Compute stage `stage`'s input against `instance` and its maintained
+    /// database `db`: the rows, assignments, `par` pairs or receiver order
+    /// the stage will apply. Cursor orders are the
+    /// [`ReceiverSet::canonical_order`] the per-statement path iterates.
+    fn stage_input<'p>(
+        &'p self,
+        cache: &mut ExecCache<'p>,
+        stage: &'p Stage,
+        instance: &Instance,
+        db: &Database,
         meter: &mut StageMeter,
-    ) -> Result<InPlaceOutcome> {
-        let CompiledStatement::CursorDelete(cd) = &stage.compiled else {
-            unreachable!("kind-checked by the caller");
-        };
-        let order = cd.receivers(instance).canonical_order();
-        meter.rows_in += order.len() as u64;
-        for t in &order {
-            let tuple = t.receiving_object();
-            let fire = match &cd.condition {
-                Some(c) => {
-                    let scopes: Scopes<'_> = vec![Binding {
-                        alias: stage.var.clone(),
-                        table: cd.table(),
-                        tuple,
-                    }];
-                    eval_condition(c, &scopes, cd.catalog(), instance)?
-                }
-                None => true,
-            };
-            if fire {
-                meter.rows_out += 1;
-                let mut txn = receivers_objectbase::InstanceTxn::begin_observed(instance, observer);
-                txn.remove_object_cascade(tuple);
-                txn.commit();
-            }
-        }
-        Ok(InPlaceOutcome::Applied)
-    }
-
-    /// Run a guarded (or non-algebraic) cursor update's ordered loop —
-    /// exactly the interpreted [`crate::compile::CursorUpdateMethod`]
-    /// semantics, in place.
-    fn run_cursor_update_interpreted(
-        &self,
-        stage: &Stage,
-        instance: &mut Instance,
-        observer: &mut dyn DeltaObserver,
-        meter: &mut StageMeter,
-    ) -> Result<InPlaceOutcome> {
-        let CompiledStatement::CursorUpdate(cu) = &stage.compiled else {
-            unreachable!("kind-checked by the caller");
-        };
-        let prop = cu.property;
-        let order = cu.receivers(instance).canonical_order();
-        meter.rows_in += order.len() as u64;
-        for t in &order {
-            let tuple = t.receiving_object();
-            let scopes: Scopes<'_> = vec![Binding {
-                alias: stage.var.clone(),
-                table: cu.table(),
-                tuple,
-            }];
-            if let Some(guard) = &cu.condition {
-                if !eval_condition(guard, &scopes, cu.catalog(), instance)? {
-                    continue;
-                }
-            }
-            let values = eval_select(cu.select(), &scopes, cu.catalog(), instance)?;
-            meter.rows_out += 1;
-            let mut txn = receivers_objectbase::InstanceTxn::begin_observed(instance, observer);
-            txn.replace_successors(prop, &[(tuple, &values)])?;
-            txn.commit();
-        }
-        Ok(InPlaceOutcome::Applied)
-    }
-
-    /// Run one stage against `instance` with `view` maintained — the
-    /// shared body of the viewed driver and the coordinator side of the
-    /// sharded one.
-    fn run_stage_viewed(
-        &self,
-        cache: &mut ExecCache<'_>,
-        stage: &Stage,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        meter: &mut StageMeter,
-    ) -> Result<InPlaceOutcome> {
-        match stage.kind {
+    ) -> Result<StageInput<'p>> {
+        let writes = match stage.kind {
             StageKind::SetDelete => {
                 let rows = cache.rows(stage.rows, instance)?;
                 C_VECTORIZED_ROWS.add(rows.len() as u64);
                 meter.rows_in += rows.len() as u64;
                 meter.rows_out += rows.len() as u64;
-                apply_delete_batch(instance, view, &rows);
-                Ok(InPlaceOutcome::Applied)
+                Writes::Delete(rows)
             }
             StageKind::SetUpdate => {
-                let assigns = cache.values(stage, instance, view.database())?;
+                let assigns = cache.values(stage, instance, db)?;
                 C_VECTORIZED_ROWS.add(assigns.len() as u64);
                 meter.rows_in += assigns.len() as u64;
                 meter.rows_out += assigns.len() as u64;
-                apply_assignment_batch(instance, view, self.stage_prop(stage)?, &assigns)?;
-                Ok(InPlaceOutcome::Applied)
+                Writes::Assign(self.stage_prop(stage)?, assigns)
             }
             StageKind::ImprovedUpdate => {
-                let (receiving, pairs) =
-                    self.improved_pairs(cache, stage, instance, view.database())?;
+                let (receiving, pairs) = self.improved_pairs(cache, stage, instance, db)?;
                 meter.rows_in += receiving.len() as u64;
                 meter.rows_out += pairs.len() as u64;
-                apply_replacement_batch(
-                    instance,
-                    view,
-                    self.stage_prop(stage)?,
-                    &receiving,
-                    &pairs,
-                )?;
-                Ok(InPlaceOutcome::Applied)
+                Writes::Replace(self.stage_prop(stage)?, (receiving, pairs))
             }
-            StageKind::CursorDelete => self.run_cursor_delete(stage, instance, view, meter),
-            StageKind::CursorUpdate => match &stage.algebraic {
-                Some(m) => {
-                    let order = cursor_order(stage, instance);
-                    meter.rows_in += order.len() as u64;
-                    meter.rows_out += order.len() as u64;
-                    Ok(m.apply_sequence_viewed(instance, view, &order))
+            StageKind::CursorDelete => {
+                let CompiledStatement::CursorDelete(cd) = &stage.compiled else {
+                    unreachable!("cursor delete stages compile to cursor deletes");
+                };
+                let order = cd.receivers(instance).canonical_order();
+                meter.rows_in += order.len() as u64;
+                Writes::DeleteLoop(cd, order)
+            }
+            StageKind::CursorUpdate => {
+                let CompiledStatement::CursorUpdate(cu) = &stage.compiled else {
+                    unreachable!("cursor update stages compile to cursor updates");
+                };
+                let order = cu.receivers(instance).canonical_order();
+                meter.rows_in += order.len() as u64;
+                match &stage.algebraic {
+                    Some(m) => {
+                        meter.rows_out += order.len() as u64;
+                        return Ok(StageInput::Sequence(m, order));
+                    }
+                    None => Writes::UpdateLoop(cu, order),
                 }
-                None => self.run_cursor_update_interpreted(stage, instance, view, meter),
-            },
-        }
+            }
+        };
+        Ok(StageInput::Writes(writes))
     }
 
-    /// Execute the compiled program through the **sequential viewed
-    /// driver**: every stage in statement order against `instance`, with
-    /// `view` incrementally maintained. Netted stages are skipped. On a
+    /// The one stage loop behind every driver. Each stage in statement
+    /// order computes its input against the maintained `view`, then
+    /// applies it through `mode`; netted stages are skipped. On a
     /// non-[`Applied`](InPlaceOutcome::Applied) stage outcome the program
     /// stops (the failing stage has rolled itself back; earlier stages
     /// remain applied — the same contract as running the statements one
-    /// at a time).
-    pub fn execute_viewed(
-        &self,
+    /// at a time). `prof` collects one child per stage.
+    fn run<'p, S: WalStorage>(
+        &'p self,
         instance: &mut Instance,
         view: &mut DatabaseView,
-    ) -> Result<InPlaceOutcome> {
-        self.execute_viewed_impl(instance, view, None)
-    }
-
-    /// [`ProgramPlan::execute_viewed`] with **EXPLAIN ANALYZE** attached:
-    /// the same execution bit for bit, plus a [`obs::ProfileNode`] tree —
-    /// one child per stage with wall time, rows in/out, and
-    /// selector-cache hit/miss counts. Render with
-    /// [`obs::render_profile_human`], [`obs::render_profile_json`] or
-    /// [`obs::render_profile_chrome`].
-    pub fn execute_viewed_profiled(
-        &self,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-    ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let mut root = self.profile_root("viewed");
-        let start_ns = obs::now_ns();
-        let t0 = std::time::Instant::now();
-        let outcome = self.execute_viewed_impl(instance, view, Some(&mut root))?;
-        finish_profile(&mut root, start_ns, t0);
-        Ok((outcome, root))
-    }
-
-    fn execute_viewed_impl(
-        &self,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
+        mut mode: Mode<'_, 'p, S>,
         mut prof: Option<&mut obs::ProfileNode>,
     ) -> Result<InPlaceOutcome> {
         let _span = obs::span("sql.plan.execute");
@@ -1752,27 +1942,29 @@ impl ProgramPlan {
             }
             let _s = obs::span("sql.plan.stage");
             C_STAGES_EXECUTED.incr();
-            let mark = prof.is_some().then(|| {
-                (
-                    obs::now_ns(),
-                    std::time::Instant::now(),
-                    cache.hits,
-                    cache.misses,
-                )
+            let mark = prof.is_some().then(|| StageMark {
+                start_ns: obs::now_ns(),
+                t0: std::time::Instant::now(),
+                cache_hits: cache.hits,
+                cache_misses: cache.misses,
+                wal: mode.wal_stats(),
             });
             let mut meter = StageMeter::default();
-            let outcome = self.run_stage_viewed(&mut cache, stage, instance, view, &mut meter)?;
-            if let (Some(p), Some((start_ns, t0, h0, m0))) = (prof.as_deref_mut(), mark) {
-                push_stage_profile(
-                    p,
-                    idx,
-                    stage,
-                    start_ns,
-                    t0,
-                    &meter,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                );
+            let applied = self
+                .stage_input(&mut cache, stage, instance, view.database(), &mut meter)
+                .and_then(|input| {
+                    mode.apply(self, idx, input, instance, view, &mut meter, mark.is_some())
+                });
+            mode.stage_ran(idx);
+            let (outcome, placement) = applied?;
+            if let (Some(p), Some(mark)) = (prof.as_deref_mut(), &mark) {
+                let node = push_stage_profile(p, idx, stage, mark, &meter, &cache);
+                if let (Some(w0), Some(w)) = (&mark.wal, mode.wal_stats()) {
+                    node.children.push(wal_profile(mark.start_ns, w0, &w));
+                }
+                if let Some(placement) = placement {
+                    placement.stamp(node, mark.start_ns);
+                }
             }
             if !outcome.is_applied() {
                 return Ok(outcome);
@@ -1780,6 +1972,58 @@ impl ProgramPlan {
             cache.invalidate_after(&stage.footprint);
         }
         Ok(InPlaceOutcome::Applied)
+    }
+
+    /// Run `run` under a fresh `program (driver)` profile root and return
+    /// the finished tree; with the flight recorder on, the rendered
+    /// profile is also retained in the ring.
+    fn profiled(
+        &self,
+        driver: &str,
+        run: impl FnOnce(Option<&mut obs::ProfileNode>) -> Result<InPlaceOutcome>,
+    ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
+        let mut root = obs::ProfileNode::new(format!("program ({driver})"), "program");
+        root.set_metric("stages", self.stages.len() as u64);
+        root.set_metric("dag_nodes", self.graph.len() as u64);
+        root.start_ns = obs::now_ns();
+        let t0 = std::time::Instant::now();
+        let outcome = run(Some(&mut root))?;
+        root.wall_ns = t0.elapsed().as_nanos() as u64;
+        if obs::flight_enabled() {
+            obs::flight::flight_record(
+                "profile",
+                format!("{} ({:.3} ms)", root.name, root.wall_ns as f64 / 1e6),
+                Some(obs::render_profile_json(&root)),
+            );
+        }
+        Ok((outcome, root))
+    }
+
+    /// Execute the compiled program through the **sequential viewed
+    /// driver**: every stage against `instance`, with `view` incrementally
+    /// maintained (see [`ShardSession`] for the sharded driver).
+    pub fn execute_viewed(
+        &self,
+        instance: &mut Instance,
+        view: &mut DatabaseView,
+    ) -> Result<InPlaceOutcome> {
+        self.run(instance, view, Mode::<NoStore>::Viewed, None)
+    }
+
+    /// [`ProgramPlan::execute_viewed`] with **EXPLAIN ANALYZE** attached:
+    /// the same execution bit for bit, plus a [`obs::ProfileNode`] tree —
+    /// one child per stage with wall time, rows in/out, and
+    /// selector-cache hit/miss counts. Render with
+    /// [`obs::render_profile_human`], [`obs::render_profile_json`] or
+    /// [`obs::render_profile_chrome`].
+    pub fn execute_viewed_profiled(
+        &self,
+        instance: &mut Instance,
+        view: &mut DatabaseView,
+    ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
+        self.profiled("viewed", |p| {
+            self.run(instance, view, Mode::<NoStore>::Viewed, p)
+        })
     }
 
     /// Execute the compiled program through the **durable driver**: the
@@ -1796,7 +2040,7 @@ impl ProgramPlan {
         view: &mut DatabaseView,
         store: &mut DurableStore<S>,
     ) -> Result<InPlaceOutcome> {
-        self.execute_durable_impl(instance, view, store, None)
+        self.run(instance, view, Mode::Durable(store), None)
     }
 
     /// [`ProgramPlan::execute_durable`] with **EXPLAIN ANALYZE**
@@ -1809,148 +2053,9 @@ impl ProgramPlan {
         view: &mut DatabaseView,
         store: &mut DurableStore<S>,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let mut root = self.profile_root("durable");
-        let start_ns = obs::now_ns();
-        let t0 = std::time::Instant::now();
-        let outcome = self.execute_durable_impl(instance, view, store, Some(&mut root))?;
-        finish_profile(&mut root, start_ns, t0);
-        Ok((outcome, root))
-    }
-
-    fn execute_durable_impl<S: WalStorage>(
-        &self,
-        instance: &mut Instance,
-        view: &mut DatabaseView,
-        store: &mut DurableStore<S>,
-        mut prof: Option<&mut obs::ProfileNode>,
-    ) -> Result<InPlaceOutcome> {
-        let _span = obs::span("sql.plan.execute");
-        C_EXECUTIONS.incr();
-        let mut cache = ExecCache::new(self);
-        for (idx, stage) in self.stages.iter().enumerate() {
-            if stage.netted {
-                C_STAGES_SKIPPED.incr();
-                if let Some(p) = prof.as_deref_mut() {
-                    p.children.push(stage_node(idx, stage));
-                }
-                continue;
-            }
-            let _s = obs::span("sql.plan.stage");
-            C_STAGES_EXECUTED.incr();
-            let mark = prof.is_some().then(|| {
-                (
-                    obs::now_ns(),
-                    std::time::Instant::now(),
-                    cache.hits,
-                    cache.misses,
-                    store.stats(),
-                )
-            });
-            let mut meter = StageMeter::default();
-            let mut checkpoint_here = true;
-            let outcome = match stage.kind {
-                StageKind::SetDelete => {
-                    let rows = cache.rows(stage.rows, instance)?;
-                    C_VECTORIZED_ROWS.add(rows.len() as u64);
-                    meter.rows_in += rows.len() as u64;
-                    meter.rows_out += rows.len() as u64;
-                    let mut sink = DurableSink::new(store, view);
-                    apply_delete_batch(instance, &mut sink, &rows);
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    InPlaceOutcome::Applied
-                }
-                StageKind::SetUpdate => {
-                    let assigns = cache.values(stage, instance, view.database())?;
-                    C_VECTORIZED_ROWS.add(assigns.len() as u64);
-                    meter.rows_in += assigns.len() as u64;
-                    meter.rows_out += assigns.len() as u64;
-                    let prop = self.stage_prop(stage)?;
-                    let mut sink = DurableSink::new(store, view);
-                    let applied = apply_assignment_batch(instance, &mut sink, prop, &assigns);
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    applied?;
-                    InPlaceOutcome::Applied
-                }
-                StageKind::ImprovedUpdate => {
-                    let (receiving, pairs) =
-                        self.improved_pairs(&mut cache, stage, instance, view.database())?;
-                    meter.rows_in += receiving.len() as u64;
-                    meter.rows_out += pairs.len() as u64;
-                    let prop = self.stage_prop(stage)?;
-                    let mut sink = DurableSink::new(store, view);
-                    let applied =
-                        apply_replacement_batch(instance, &mut sink, prop, &receiving, &pairs);
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    applied?;
-                    InPlaceOutcome::Applied
-                }
-                StageKind::CursorDelete => {
-                    let mut sink = DurableSink::new(store, view);
-                    let outcome = self.run_cursor_delete(stage, instance, &mut sink, &mut meter)?;
-                    if let Some(e) = sink.take_error() {
-                        return Err(e.into());
-                    }
-                    outcome
-                }
-                StageKind::CursorUpdate => match &stage.algebraic {
-                    Some(m) => {
-                        checkpoint_here = false; // the driver checkpoints itself
-                        let order = cursor_order(stage, instance);
-                        meter.rows_in += order.len() as u64;
-                        meter.rows_out += order.len() as u64;
-                        m.apply_sequence_durable(instance, view, &order, store)?
-                    }
-                    None => {
-                        let mut sink = DurableSink::new(store, view);
-                        let outcome = self.run_cursor_update_interpreted(
-                            stage, instance, &mut sink, &mut meter,
-                        )?;
-                        if let Some(e) = sink.take_error() {
-                            return Err(e.into());
-                        }
-                        outcome
-                    }
-                },
-            };
-            if outcome.is_applied() && checkpoint_here && store.should_checkpoint() {
-                store.checkpoint_db(view.database())?;
-            }
-            if let (Some(p), Some((start_ns, t0, h0, m0, w0))) = (prof.as_deref_mut(), mark) {
-                let node = push_stage_profile(
-                    p,
-                    idx,
-                    stage,
-                    start_ns,
-                    t0,
-                    &meter,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                );
-                let w = store.stats();
-                let mut wal = obs::ProfileNode::new("wal", "wal-append");
-                wal.start_ns = start_ns;
-                wal.wall_ns = w.sync_ns - w0.sync_ns;
-                wal.set_metric("records", w.records - w0.records);
-                wal.set_metric("bytes", w.bytes - w0.bytes);
-                wal.set_metric("syncs", w.syncs - w0.syncs);
-                wal.set_metric("sync_ns", w.sync_ns - w0.sync_ns);
-                if w.checkpoints > w0.checkpoints {
-                    wal.set_metric("checkpoints", w.checkpoints - w0.checkpoints);
-                }
-                node.children.push(wal);
-            }
-            if !outcome.is_applied() {
-                return Ok(outcome);
-            }
-            cache.invalidate_after(&stage.footprint);
-        }
-        Ok(InPlaceOutcome::Applied)
+        self.profiled("durable", |p| {
+            self.run(instance, view, Mode::Durable(store), p)
+        })
     }
 
     /// The shard certificate of an algebraic stage: the coloring-footprint
@@ -1970,9 +2075,13 @@ impl ProgramPlan {
         Some((certificate, proofs))
     }
 
-    /// A persistent sharded execution session over this plan — the
-    /// [`ShardedExecutor`]-backed driver, replicas kept warm across
-    /// repeated executions.
+    /// A **sharded driver** session over this plan: certified algebraic
+    /// stages run on the per-shard worker loops of
+    /// [`receivers_core::shard`] (certificates discharged from the DAG
+    /// footprints), everything else on the coordinator exactly as
+    /// [`ProgramPlan::execute_viewed`] runs it — bit-identical to the
+    /// sequential path. Replicas stay warm across repeated executions;
+    /// one-shot sharded execution is a session used once.
     pub fn shard_session(&self, cfg: ShardConfig) -> ShardSession<'_> {
         ShardSession {
             plan: self,
@@ -1981,47 +2090,13 @@ impl ProgramPlan {
             execs: self.stages.iter().map(|_| None).collect(),
         }
     }
-
-    /// Execute the compiled program through the **sharded driver**:
-    /// certified algebraic stages run on the per-shard worker loops of
-    /// [`receivers_core::shard`] (certificates discharged from the DAG
-    /// footprints), everything else runs vectorized on the coordinator —
-    /// bit-identical to the sequential path.
-    pub fn execute_sharded(
-        &self,
-        instance: &mut Instance,
-        cfg: &ShardConfig,
-    ) -> Result<InPlaceOutcome> {
-        self.shard_session(cfg.clone()).execute(instance)
-    }
-
-    /// [`ProgramPlan::execute_sharded`] with **EXPLAIN ANALYZE**
-    /// attached: certified stages report how the wave split between the
-    /// per-shard worker lanes and the ordered coordinator path, with one
-    /// `shard N` child per active lane (receivers, batches, queue wait,
-    /// busy time).
-    pub fn execute_sharded_profiled(
-        &self,
-        instance: &mut Instance,
-        cfg: &ShardConfig,
-    ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        self.shard_session(cfg.clone()).execute_profiled(instance)
-    }
-
-    /// The root node every profiled driver hangs its stages off.
-    fn profile_root(&self, driver: &str) -> obs::ProfileNode {
-        let mut root = obs::ProfileNode::new(format!("program ({driver})"), "program");
-        root.set_metric("stages", self.stages.len() as u64);
-        root.set_metric("dag_nodes", self.graph.len() as u64);
-        root
-    }
 }
 
-/// A persistent sharded session over a [`ProgramPlan`]: one
-/// [`ShardedExecutor`] per certified algebraic stage (replicas carried
-/// over between [`ShardSession::execute`] calls), a maintained
-/// [`DatabaseView`] for the coordinator stages, and the executor-replica
-/// cross-invalidation the stage sequence requires.
+/// A sharded session over a [`ProgramPlan`]: one [`ShardedExecutor`] per
+/// algebraic stage (replicas carried over between
+/// [`ShardSession::execute`] calls), a maintained [`DatabaseView`] for the
+/// coordinator stages, and the executor-replica cross-invalidation the
+/// stage sequence requires.
 pub struct ShardSession<'p> {
     plan: &'p ProgramPlan,
     cfg: ShardConfig,
@@ -2039,169 +2114,43 @@ impl ShardSession<'_> {
         }
     }
 
+    /// The view the session maintains alongside the instance, once an
+    /// execution has built it.
+    pub fn view(&self) -> Option<&DatabaseView> {
+        self.view.as_ref()
+    }
+
     /// Apply the whole program to `instance` — semantically identical to
     /// [`ProgramPlan::execute_viewed`].
     pub fn execute(&mut self, instance: &mut Instance) -> Result<InPlaceOutcome> {
-        self.execute_impl(instance, None)
+        self.run(instance, None)
     }
 
-    /// [`ShardSession::execute`] with **EXPLAIN ANALYZE** attached — see
-    /// [`ProgramPlan::execute_sharded_profiled`].
+    /// [`ShardSession::execute`] with **EXPLAIN ANALYZE** attached:
+    /// certified stages report how the wave split between the per-shard
+    /// worker lanes and the ordered coordinator path, with one `shard N`
+    /// child per active lane (receivers, batches, queue wait, busy time).
     pub fn execute_profiled(
         &mut self,
         instance: &mut Instance,
     ) -> Result<(InPlaceOutcome, obs::ProfileNode)> {
-        let mut root = self.plan.profile_root("sharded");
-        let start_ns = obs::now_ns();
-        let t0 = std::time::Instant::now();
-        let outcome = self.execute_impl(instance, Some(&mut root))?;
-        finish_profile(&mut root, start_ns, t0);
-        Ok((outcome, root))
+        let plan = self.plan;
+        plan.profiled("sharded", |p| self.run(instance, p))
     }
 
-    fn execute_impl(
+    fn run(
         &mut self,
         instance: &mut Instance,
-        mut prof: Option<&mut obs::ProfileNode>,
+        prof: Option<&mut obs::ProfileNode>,
     ) -> Result<InPlaceOutcome> {
-        let _span = obs::span("sql.plan.execute");
-        C_EXECUTIONS.incr();
         let mut view = self
             .view
             .take()
             .unwrap_or_else(|| DatabaseView::new(instance));
-        let mut cache = ExecCache::new(self.plan);
-        for (idx, stage) in self.plan.stages.iter().enumerate() {
-            if stage.netted {
-                C_STAGES_SKIPPED.incr();
-                if let Some(p) = prof.as_deref_mut() {
-                    p.children.push(stage_node(idx, stage));
-                }
-                continue;
-            }
-            let _s = obs::span("sql.plan.stage");
-            C_STAGES_EXECUTED.incr();
-            let mark = prof.is_some().then(|| {
-                (
-                    obs::now_ns(),
-                    std::time::Instant::now(),
-                    cache.hits,
-                    cache.misses,
-                )
-            });
-            let mut meter = StageMeter::default();
-            let mut wave: Option<WaveStats> = None;
-            let mut lane_note: Option<&'static str> = None;
-            let mut used_exec = false;
-            let algebraic = match stage.kind {
-                StageKind::CursorUpdate => stage.algebraic.as_ref(),
-                _ => None,
-            };
-            let outcome = if let Some(m) = algebraic {
-                if self.execs[idx].is_none() {
-                    let (certificate, _proofs) = self
-                        .plan
-                        .shard_certificate(idx)
-                        .expect("algebraic stages certify");
-                    if certificate.shard_safe() {
-                        self.execs[idx] =
-                            Some(ShardedExecutor::with_certificate(m, certificate, &self.cfg));
-                    }
-                }
-                match self.execs[idx].as_mut() {
-                    Some(exec) => {
-                        used_exec = true;
-                        let order = cursor_order(stage, instance);
-                        meter.rows_in += order.len() as u64;
-                        meter.rows_out += order.len() as u64;
-                        lane_note = Some("certified shard-safe — per-shard worker loops");
-                        let (outcome, log) = if prof.is_some() {
-                            let (outcome, log, stats) = exec.apply_logged_stats(instance, &order);
-                            wave = Some(stats);
-                            (outcome, log)
-                        } else {
-                            exec.apply_logged(instance, &order)
-                        };
-                        // Replay the wave's delta log into the session
-                        // view (empty unless the wave applied).
-                        for op in &log {
-                            view.applied(op);
-                        }
-                        view.batch_end();
-                        outcome
-                    }
-                    // Uncertified: the ordered coordinator path.
-                    None => {
-                        let order = cursor_order(stage, instance);
-                        meter.rows_in += order.len() as u64;
-                        meter.rows_out += order.len() as u64;
-                        lane_note = Some("certificate not shard-safe — ordered coordinator path");
-                        m.apply_sequence_viewed(instance, &mut view, &order)
-                    }
-                }
-            } else {
-                match self
-                    .plan
-                    .run_stage_viewed(&mut cache, stage, instance, &mut view, &mut meter)
-                {
-                    Ok(o) => o,
-                    Err(e) => {
-                        self.view = Some(view);
-                        return Err(e);
-                    }
-                }
-            };
-            if let (Some(p), Some((start_ns, t0, h0, m0))) = (prof.as_deref_mut(), mark) {
-                let node = push_stage_profile(
-                    p,
-                    idx,
-                    stage,
-                    start_ns,
-                    t0,
-                    &meter,
-                    cache.hits - h0,
-                    cache.misses - m0,
-                );
-                if let Some(note) = lane_note {
-                    node.add_note(note);
-                }
-                if let Some(w) = &wave {
-                    node.set_metric("local_receivers", w.local_receivers);
-                    node.set_metric("coordinated_receivers", w.coordinated_receivers);
-                    node.set_metric("segments", w.segments);
-                    for lane in &w.lanes {
-                        if lane.receivers == 0 && lane.batches == 0 {
-                            continue;
-                        }
-                        let mut ln =
-                            obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
-                        ln.start_ns = start_ns;
-                        ln.wall_ns = lane.busy_ns;
-                        ln.rows_in = lane.receivers;
-                        ln.rows_out = lane.receivers;
-                        ln.set_metric("receivers", lane.receivers);
-                        ln.set_metric("batches", lane.batches);
-                        ln.set_metric("queue_wait_ns", lane.wait_ns);
-                        node.children.push(ln);
-                    }
-                }
-            }
-            if !outcome.is_applied() {
-                self.view = Some(view);
-                return Ok(outcome);
-            }
-            // Every *other* executor's replicas are stale now.
-            for (k, e) in self.execs.iter_mut().enumerate() {
-                if let Some(e) = e {
-                    if !(used_exec && k == idx) {
-                        e.invalidate();
-                    }
-                }
-            }
-            cache.invalidate_after(&stage.footprint);
-        }
+        let mode = Mode::<NoStore>::Sharded(&self.cfg, &mut self.execs);
+        let outcome = self.plan.run(instance, &mut view, mode, prof);
         self.view = Some(view);
-        Ok(InPlaceOutcome::Applied)
+        outcome
     }
 }
 
@@ -2236,22 +2185,81 @@ mod tests {
     /// A subquery naming an alias outside the nested select that
     /// declares it is an error for the interpreter, so the compiler
     /// must refuse it too: the stage stays on the per-row interpreter
-    /// and fails exactly as the per-statement path does.
+    /// and fails exactly as the per-statement path does. Behind a stage
+    /// that applies, every driver — plain and profiled — returns the
+    /// error with that first stage in place, and the durable store
+    /// recovers exactly that instance.
     #[test]
     fn out_of_scope_alias_keeps_the_interpreter() {
         const TEXT: &str = "update Employee set Salary = (select New from NewSal where \
              exists (select * from Employee E1 where E1.EmpId = Manager) and Old = E1.Salary)";
         let (es, catalog) = employee_catalog();
-        let plan = compile_program(&program(&[TEXT]), &catalog).unwrap();
+        let plan = compile_program(&program(&[UPDATE_A, TEXT]), &catalog).unwrap();
+        assert!(!plan.stages()[0].netted(), "the failing stage reads Salary");
         assert!(matches!(
-            &plan.stages()[0].values_query,
+            &plan.stages()[1].values_query,
             Some(Err(why)) if why.contains("E1")
         ));
         let (i0, _) = section7_instance(&es);
         assert!(set_update(TEXT, &catalog).apply(&i0).is_err());
+        let after_a = set_update(UPDATE_A, &catalog).apply(&i0).unwrap();
+        assert_ne!(after_a, i0, "the first stage must change something");
+
+        let mut viewed = i0.clone();
+        let mut view = DatabaseView::new(&viewed);
+        assert!(plan.execute_viewed(&mut viewed, &mut view).is_err());
+        assert_eq!(viewed, after_a);
+        assert!(view.matches_rebuild(&viewed));
         let mut i = i0.clone();
         let mut view = DatabaseView::new(&i);
-        assert!(plan.execute_viewed(&mut i, &mut view).is_err());
+        assert!(plan.execute_viewed_profiled(&mut i, &mut view).is_err());
+        assert_eq!(i, viewed, "viewed, profiled");
+        assert!(view.matches_rebuild(&i));
+
+        for profiled in [false, true] {
+            let mut i = i0.clone();
+            let mut view = DatabaseView::new(&i);
+            let schema = Arc::clone(&es.schema);
+            let mut store =
+                DurableStore::create(FaultStorage::new(), schema, WalConfig::default(), &i0)
+                    .unwrap();
+            let failed = if profiled {
+                plan.execute_durable_profiled(&mut i, &mut view, &mut store)
+                    .map(|(o, _)| o)
+            } else {
+                plan.execute_durable(&mut i, &mut view, &mut store)
+            };
+            assert!(failed.is_err(), "durable (profiled: {profiled})");
+            assert_eq!(i, viewed, "durable (profiled: {profiled})");
+            assert!(view.matches_rebuild(&i));
+            let (_, recovered, rview, _) = DurableStore::open(
+                store.into_storage().reopen(),
+                Arc::clone(&es.schema),
+                WalConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(recovered, viewed, "recovery (profiled: {profiled})");
+            assert!(rview.matches_rebuild(&recovered));
+        }
+
+        for shards in [None, Some(1), Some(2), Some(3)] {
+            for profiled in [false, true] {
+                let mut i = i0.clone();
+                let mut session = plan.shard_session(ShardConfig {
+                    shards,
+                    ..ShardConfig::default()
+                });
+                let failed = if profiled {
+                    session.execute_profiled(&mut i).map(|(o, _)| o)
+                } else {
+                    session.execute(&mut i)
+                };
+                let label = format!("session at {shards:?} shards (profiled: {profiled})");
+                assert!(failed.is_err(), "{label}");
+                assert_eq!(i, viewed, "{label}");
+                assert!(session.view().is_some_and(|v| v.matches_rebuild(&i)));
+            }
+        }
     }
 
     /// The improve pass collapses the paper's cursor update (B) into one
@@ -2351,7 +2359,8 @@ mod tests {
 
         let mut sharded = i0.clone();
         assert!(plan
-            .execute_sharded(&mut sharded, &ShardConfig::default())
+            .shard_session(ShardConfig::default())
+            .execute(&mut sharded)
             .unwrap()
             .is_applied());
         assert_eq!(sharded, seq);
@@ -2466,7 +2475,8 @@ mod tests {
 
         let mut sharded = i0.clone();
         let (out, stree) = plan
-            .execute_sharded_profiled(&mut sharded, &ShardConfig::default())
+            .shard_session(ShardConfig::default())
+            .execute_profiled(&mut sharded)
             .unwrap();
         assert!(out.is_applied());
         assert_eq!(sharded, plain);

@@ -125,7 +125,8 @@ fn main() {
 
     let mut sharded = i0.clone();
     let (out, sharded_prof) = plan
-        .execute_sharded_profiled(&mut sharded, &ShardConfig::default())
+        .shard_session(ShardConfig::default())
+        .execute_profiled(&mut sharded)
         .expect("sharded driver");
     assert!(out.is_applied());
     assert_eq!(sharded, viewed, "sharded driver is bit-identical");

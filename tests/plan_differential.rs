@@ -9,15 +9,18 @@
 //! per-statement path (each statement compiled and applied one at a time
 //! through `sql::compile`):
 //!
-//! * [`ProgramPlan::execute_viewed`]: same instance, same hash, the
-//!   maintained [`DatabaseView`] matching a from-scratch rebuild, and a
-//!   consistent adjacency index;
-//! * [`ProgramPlan::execute_sharded`] at 1/2/3 shards;
-//! * a persistent [`ShardSession`] across two waves, against the legacy
-//!   path applied twice;
+//! * [`ProgramPlan::execute_viewed`];
 //! * [`ProgramPlan::execute_durable`] over a [`FaultStorage`]-backed
 //!   [`DurableStore`], and the recovery ([`DurableStore::open`]) of the
-//!   logged run — both bit-identical to the legacy result.
+//!   logged run;
+//! * a [`ShardSession`] at the default and 1/2/3 shards, and one
+//!   session across two waves against the legacy path applied twice.
+//!
+//! One table-driven arm runs every driver plain and profiled (EXPLAIN
+//! ANALYZE is a pure observer) and makes every assertion on each: same
+//! instance, same hash, a consistent adjacency index, the maintained
+//! [`DatabaseView`] matching a from-scratch rebuild, and per profiled run
+//! one tree child per stage with rows and WAL records accounted for.
 //!
 //! The planner passes are exercised *as optimizations must be*: netted
 //! stages are skipped, shared selectors are hash-consed and reused,
@@ -53,7 +56,8 @@ use receivers::relalg::view::DatabaseView;
 use receivers::sql::catalog::employee_catalog;
 use receivers::sql::scenarios::{section7_instance, UPDATE_A};
 use receivers::sql::{
-    compile, compile_program, parse, Catalog, CompiledStatement, SqlStatement, StageKind,
+    compile, compile_program, parse, Catalog, CompiledStatement, ProgramPlan, SqlStatement,
+    StageKind,
 };
 use receivers::wal::{DurableStore, FaultStorage, WalConfig};
 
@@ -300,8 +304,48 @@ fn run_program(seed: u64) {
     check_program(seed, texts, &stmts, &i0);
 }
 
-/// Run `stmts` on `i0` through every compiled-plan driver and compare
-/// each result bit for bit with the per-statement oracle.
+/// One row of the driver table: a way to run a compiled program.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    /// `execute_viewed` over a fresh maintained view.
+    Viewed,
+    /// `execute_durable` over a [`FaultStorage`]-backed store, then
+    /// recovery of the logged run.
+    Durable,
+    /// One `shard_session` (`shards: None` follows the worker pool),
+    /// executed `waves` times.
+    Session { shards: Option<usize>, waves: usize },
+}
+
+/// Every driver row; each runs plain and profiled.
+const DRIVERS: &[Driver] = &[
+    Driver::Viewed,
+    Driver::Durable,
+    Driver::Session {
+        shards: None,
+        waves: 1,
+    },
+    Driver::Session {
+        shards: Some(1),
+        waves: 1,
+    },
+    Driver::Session {
+        shards: Some(2),
+        waves: 1,
+    },
+    Driver::Session {
+        shards: Some(3),
+        waves: 1,
+    },
+    Driver::Session {
+        shards: None,
+        waves: 2,
+    },
+];
+
+/// Run `stmts` on `i0` through every compiled-plan driver, plain and
+/// profiled, and compare each result bit for bit with the per-statement
+/// oracle (applied once per wave).
 fn check_program(seed: u64, texts: Vec<String>, stmts: &[SqlStatement], i0: &Instance) {
     let _banner = ReplayBanner {
         seed,
@@ -312,41 +356,86 @@ fn check_program(seed: u64, texts: Vec<String>, stmts: &[SqlStatement], i0: &Ins
     let plan = compile_program(stmts, &catalog)
         .unwrap_or_else(|e| panic!("pool program must compile (seed {seed}): {e}"));
     let oracle = legacy_apply(stmts, &catalog, i0, seed);
+    let oracle2 = legacy_apply(stmts, &catalog, &oracle, seed);
+    for &driver in DRIVERS {
+        for profiled in [false, true] {
+            let want = match driver {
+                Driver::Session { waves: 2, .. } => &oracle2,
+                _ => &oracle,
+            };
+            check_driver(seed, &plan, &es, i0, driver, profiled, want);
+        }
+    }
+}
 
-    // Sequential viewed driver.
-    let mut seq = i0.clone();
-    let mut view = DatabaseView::new(&seq);
-    let out = plan
-        .execute_viewed(&mut seq, &mut view)
-        .unwrap_or_else(|e| panic!("viewed driver errored (seed {seed}): {e}"));
-    assert!(out.is_applied(), "viewed driver must apply (seed {seed})");
-    assert_identical(&seq, &oracle, seed, "viewed");
-    assert!(
-        view.matches_rebuild(&seq),
-        "maintained view diverged from rebuild (seed {seed})"
-    );
-
-    // EXPLAIN ANALYZE arm: profiling is a pure observer. The profiled
-    // viewed driver must reproduce the oracle bit for bit, account for
-    // every stage, and its row counts must reconcile with the
-    // vectorized-rows counter (`>=`: counters are process-global).
-    {
+/// One row of the table: run the driver, then make every assertion —
+/// each wave applies; profiled trees hold one child per stage and their
+/// rows reconcile with the vectorized-rows counter (`>=`: counters are
+/// process-global), and durable trees' WAL children account for every
+/// record; the result is bit-identical to `want`; the maintained view
+/// matches a rebuild; a durable run recovers to `want` as well.
+fn check_driver(
+    seed: u64,
+    plan: &ProgramPlan,
+    es: &EmployeeSchema,
+    i0: &Instance,
+    driver: Driver,
+    profiled: bool,
+    want: &Instance,
+) {
+    let label = format!("{driver:?}{}", if profiled { ", profiled" } else { "" });
+    let mut got = i0.clone();
+    let mut store = DurableStore::create(
+        FaultStorage::new(),
+        Arc::clone(&es.schema),
+        WalConfig::default(),
+        i0,
+    )
+    .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
+    let mut view = DatabaseView::new(&got);
+    let mut session = match driver {
+        Driver::Session { shards, .. } => Some(plan.shard_session(ShardConfig {
+            shards,
+            ..ShardConfig::default()
+        })),
+        _ => None,
+    };
+    let waves = match driver {
+        Driver::Session { waves, .. } => waves,
+        _ => 1,
+    };
+    for wave in 0..waves {
         let before = obs::metrics_snapshot();
-        let mut profiled = i0.clone();
-        let mut pview = DatabaseView::new(&profiled);
-        let (out, tree) = plan
-            .execute_viewed_profiled(&mut profiled, &mut pview)
-            .unwrap_or_else(|e| panic!("profiled viewed driver errored (seed {seed}): {e}"));
-        assert!(out.is_applied(), "profiled driver must apply (seed {seed})");
-        assert_identical(&profiled, &oracle, seed, "viewed+profile");
+        let run = match (driver, &mut session, profiled) {
+            (Driver::Viewed, _, false) => {
+                plan.execute_viewed(&mut got, &mut view).map(|o| (o, None))
+            }
+            (Driver::Viewed, _, true) => plan
+                .execute_viewed_profiled(&mut got, &mut view)
+                .map(|(o, t)| (o, Some(t))),
+            (Driver::Durable, _, false) => plan
+                .execute_durable(&mut got, &mut view, &mut store)
+                .map(|o| (o, None)),
+            (Driver::Durable, _, true) => plan
+                .execute_durable_profiled(&mut got, &mut view, &mut store)
+                .map(|(o, t)| (o, Some(t))),
+            (Driver::Session { .. }, Some(s), false) => s.execute(&mut got).map(|o| (o, None)),
+            (Driver::Session { .. }, Some(s), true) => {
+                s.execute_profiled(&mut got).map(|(o, t)| (o, Some(t)))
+            }
+            (Driver::Session { .. }, None, _) => unreachable!("session rows hold a session"),
+        };
+        let (out, tree) =
+            run.unwrap_or_else(|e| panic!("{label} wave {wave} errored (seed {seed}): {e}"));
         assert!(
-            pview.matches_rebuild(&profiled),
-            "profiled maintained view diverged (seed {seed})"
+            out.is_applied(),
+            "{label} wave {wave} must apply (seed {seed})"
         );
+        let Some(tree) = tree else { continue };
         assert_eq!(
             tree.children.len(),
             plan.stages().len(),
-            "one profile child per stage (seed {seed})"
+            "one profile child per stage (seed {seed}, {label})"
         );
         let vectorized: u64 = plan
             .stages()
@@ -363,111 +452,40 @@ fn check_program(seed: u64, texts: Vec<String>, stmts: &[SqlStatement], i0: &Ins
         assert!(
             delta >= vectorized,
             "profile rows must reconcile with the vectorized-rows counter \
-             (seed {seed}: counter delta {delta} < profiled {vectorized})"
+             (seed {seed}, {label}: counter delta {delta} < profiled {vectorized})"
         );
+        if let Driver::Durable = driver {
+            let wal_records: u64 = tree
+                .children
+                .iter()
+                .filter_map(|c| c.find("wal").and_then(|w| w.metric("records")))
+                .sum();
+            assert_eq!(
+                wal_records,
+                store.stats().records,
+                "per-stage WAL children must account for every record (seed {seed})"
+            );
+        }
     }
-
-    // Profiled sharded and durable drivers: same bit-identity contract,
-    // plus the durable tree's per-stage WAL children accounting for
-    // every appended record.
-    {
-        let mut sharded = i0.clone();
-        let (out, tree) = plan
-            .execute_sharded_profiled(&mut sharded, &ShardConfig::default())
-            .unwrap_or_else(|e| panic!("profiled sharded driver errored (seed {seed}): {e}"));
-        assert!(out.is_applied());
-        assert_identical(&sharded, &oracle, seed, "sharded+profile");
-        assert_eq!(tree.children.len(), plan.stages().len());
-
-        let mut durable = i0.clone();
-        let mut store = DurableStore::create(
-            FaultStorage::new(),
+    assert_identical(&got, want, seed, &label);
+    let view = session.as_ref().map_or(Some(&view), |s| s.view());
+    assert!(
+        view.is_some_and(|v| v.matches_rebuild(&got)),
+        "maintained view diverged from rebuild (seed {seed}, {label})"
+    );
+    if let Driver::Durable = driver {
+        let (_store, recovered, rview, _report) = DurableStore::open(
+            store.into_storage().reopen(),
             Arc::clone(&es.schema),
             WalConfig::default(),
-            i0,
         )
-        .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
-        let mut dview = DatabaseView::new(&durable);
-        let (out, tree) = plan
-            .execute_durable_profiled(&mut durable, &mut dview, &mut store)
-            .unwrap_or_else(|e| panic!("profiled durable driver errored (seed {seed}): {e}"));
-        assert!(out.is_applied());
-        assert_identical(&durable, &oracle, seed, "durable+profile");
-        let wal_records: u64 = tree
-            .children
-            .iter()
-            .filter_map(|c| c.find("wal").and_then(|w| w.metric("records")))
-            .sum();
-        assert_eq!(
-            wal_records,
-            store.stats().records,
-            "per-stage WAL children must account for every record (seed {seed})"
-        );
-    }
-
-    // One-shot sharded driver across shard counts.
-    for shards in [1usize, 2, 3] {
-        let cfg = ShardConfig {
-            shards: Some(shards),
-            ..ShardConfig::default()
-        };
-        let mut sharded = i0.clone();
-        let out = plan
-            .execute_sharded(&mut sharded, &cfg)
-            .unwrap_or_else(|e| panic!("sharded driver errored (seed {seed}, {shards}): {e}"));
+        .unwrap_or_else(|e| panic!("recovery failed (seed {seed}, {label}): {e}"));
+        assert_identical(&recovered, want, seed, &format!("{label}, recovery"));
         assert!(
-            out.is_applied(),
-            "sharded driver must apply (seed {seed}, {shards} shards)"
-        );
-        assert_identical(&sharded, &oracle, seed, &format!("{shards} shards"));
-    }
-
-    // Persistent sharded session across two waves, against the legacy
-    // path applied twice.
-    let oracle2 = legacy_apply(stmts, &catalog, &oracle, seed);
-    let mut twice = i0.clone();
-    let mut session = plan.shard_session(ShardConfig::default());
-    for wave in 0..2 {
-        let out = session
-            .execute(&mut twice)
-            .unwrap_or_else(|e| panic!("session wave {wave} errored (seed {seed}): {e}"));
-        assert!(
-            out.is_applied(),
-            "session wave {wave} must apply (seed {seed})"
+            rview.matches_rebuild(&recovered),
+            "recovered view diverged from rebuild (seed {seed}, {label})"
         );
     }
-    assert_identical(&twice, &oracle2, seed, "session waves");
-
-    // Durable driver, then recovery of the logged run.
-    let mut durable = i0.clone();
-    let mut store = DurableStore::create(
-        FaultStorage::new(),
-        Arc::clone(&es.schema),
-        WalConfig::default(),
-        i0,
-    )
-    .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
-    let mut dview = DatabaseView::new(&durable);
-    let out = plan
-        .execute_durable(&mut durable, &mut dview, &mut store)
-        .unwrap_or_else(|e| panic!("durable driver errored (seed {seed}): {e}"));
-    assert!(out.is_applied(), "durable driver must apply (seed {seed})");
-    assert_identical(&durable, &oracle, seed, "durable");
-    assert!(
-        dview.matches_rebuild(&durable),
-        "durable maintained view diverged (seed {seed})"
-    );
-    let (_store, recovered, rview, _report) = DurableStore::open(
-        store.into_storage().reopen(),
-        Arc::clone(&es.schema),
-        WalConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("recovery failed (seed {seed}): {e}"));
-    assert_identical(&recovered, &oracle, seed, "recovery");
-    assert!(
-        rview.matches_rebuild(&recovered),
-        "recovered view diverged from rebuild (seed {seed})"
-    );
 }
 
 /// Seeds from the committed replay corpus: `tests/seeds/*.seeds`, one

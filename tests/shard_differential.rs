@@ -6,12 +6,13 @@
 //! shapes — then checks that every sharded execution path is
 //! **bit-identical** to the sequential reference:
 //!
-//! * one-shot [`apply_sequence_sharded`] at 1/2/3/7 shards: same outcome,
-//!   same instance, same instance hash, consistent adjacency index;
-//! * [`apply_sharded`] against a caller-held maintained [`DatabaseView`]:
-//!   the view still matches a from-scratch rebuild afterwards;
+//! * a fresh [`ShardedExecutor`] used once at 1/2/3/7 shards, its wave
+//!   replayed into a caller-held maintained [`DatabaseView`]
+//!   ([`ShardedExecutor::apply_planned`]): same outcome, same instance,
+//!   same instance hash, consistent adjacency index, and the view still
+//!   matches a from-scratch rebuild afterwards;
 //! * forced coordinator fallbacks ([`ShardPlan::coordinate`] on a random
-//!   subset) via [`apply_planned`];
+//!   subset) through the executor's explicit-plan entry;
 //! * the home-replica upgraded plan
 //!   ([`ShardPlan::with_certificate_upgraded`]): shard-safe methods run
 //!   every receiver shard-locally, co-sharded arguments or not;
@@ -20,8 +21,8 @@
 //!   deterministic merge run inside the differential;
 //! * a persistent [`ShardedExecutor`] across two waves, against the
 //!   sequential driver applied twice;
-//! * a ghost receiver appended mid-sequence: the sharded paths and the
-//!   executor must report the *same* `Undefined` outcome as the
+//! * a ghost receiver appended mid-sequence: a fresh executor and the
+//!   persistent one must report the *same* `Undefined` outcome as the
 //!   sequential driver (first-failure semantics) and roll the instance
 //!   back bit-identically.
 //!
@@ -37,10 +38,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use receivers::core::algebraic::{AlgebraicMethod, Statement};
-use receivers::core::shard::{
-    apply_planned, apply_sequence_sharded, apply_sharded, certify, ShardConfig, ShardPlan,
-    ShardedExecutor,
-};
+use receivers::core::shard::{certify, ShardConfig, ShardPlan, ShardedExecutor};
 use receivers::objectbase::gen::{
     random_instance, random_receivers, random_schema, InstanceParams, SchemaParams,
 };
@@ -249,9 +247,9 @@ fn run_triple(seed: u64) {
     let mut reference = instance.clone();
     let out_ref = method.apply_in_place_sequence(&mut reference, &order);
 
-    // One-shot sharded application across shard counts, with a maintained
-    // view so the netted per-shard delta buffers are checked against a
-    // from-scratch rebuild.
+    // One-shot sharded application (a fresh executor) across shard counts,
+    // with a maintained view so the netted per-shard delta logs are checked
+    // against a from-scratch rebuild.
     for shards in [1usize, 2, 3, 7] {
         let cfg = ShardConfig {
             shards: Some(shards),
@@ -259,7 +257,9 @@ fn run_triple(seed: u64) {
         };
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
-        let out = apply_sharded(&method, &mut sharded, &mut view, &order, &cfg);
+        let mut exec = ShardedExecutor::new(&method, &cfg);
+        let plan = exec.plan(&order);
+        let out = exec.apply_planned(&mut sharded, &mut view, &order, &plan);
         assert_identical(
             &out,
             &out_ref,
@@ -290,7 +290,12 @@ fn run_triple(seed: u64) {
         }
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
-        let out = apply_planned(&method, &mut sharded, &mut view, &order, &plan, &cfg);
+        let out = ShardedExecutor::new(&method, &cfg).apply_planned(
+            &mut sharded,
+            &mut view,
+            &order,
+            &plan,
+        );
         assert_identical(
             &out,
             &out_ref,
@@ -326,7 +331,12 @@ fn run_triple(seed: u64) {
         };
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
-        let out = apply_planned(&method, &mut sharded, &mut view, &order, &plan, &cfg);
+        let out = ShardedExecutor::new(&method, &cfg).apply_planned(
+            &mut sharded,
+            &mut view,
+            &order,
+            &plan,
+        );
         assert_identical(&out, &out_ref, &sharded, &reference, seed, "upgraded plan");
         assert!(
             view.matches_rebuild(&sharded),
@@ -346,7 +356,7 @@ fn run_triple(seed: u64) {
             ..ShardConfig::default()
         };
         let mut sharded = instance.clone();
-        let out = apply_sequence_sharded(&method, &mut sharded, &long_order, &cfg);
+        let out = ShardedExecutor::new(&method, &cfg).apply(&mut sharded, &long_order);
         assert_identical(&out, &long_out_ref, &sharded, &long_ref, seed, "long order");
     }
 
@@ -370,7 +380,7 @@ fn run_triple(seed: u64) {
     assert_identical(&out_ex, &out_ref2, &ex_inst, &ref2, seed, "executor waves");
 
     // Ghost receiver appended: first-failure semantics — the sequential
-    // driver, the one-shot sharded path, and the executor must all report
+    // driver, a fresh executor, and the persistent executor must all report
     // the same `Undefined` outcome and restore their instances exactly.
     {
         let ghost_class = method.signature().receiving_class();
@@ -393,7 +403,7 @@ fn run_triple(seed: u64) {
             ..ShardConfig::default()
         };
         let mut sharded = reference.clone();
-        let out = apply_sequence_sharded(&method, &mut sharded, &poisoned, &cfg);
+        let out = ShardedExecutor::new(&method, &cfg).apply(&mut sharded, &poisoned);
         assert_identical(&out, &out_seq, &sharded, &reference, seed, "ghost one-shot");
 
         let ex_snapshot = ex_inst.clone();
@@ -542,7 +552,8 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
         };
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
-        let out = apply_planned(method, &mut sharded, &mut view, &order, &plan, &cfg);
+        let mut exec = ShardedExecutor::with_certificate(method, cert.certificate.clone(), &cfg);
+        let out = exec.apply_planned(&mut sharded, &mut view, &order, &plan);
         assert_identical(
             &out,
             &out_ref,
