@@ -26,11 +26,13 @@
 //!   out-of-shard bar and fall back to the ordered coordinator, splitting
 //!   the order into short segments;
 //! * `sharded-upgraded/xs25|xs50` — the same cross-shard waves under the
-//!   home-replica upgrade (`ShardConfig::upgrade`): every receiver runs
-//!   on its receiving drinker's shard, zero coordinator fallbacks, so the
-//!   `sharded` vs `sharded-upgraded` pair prices exactly what the
-//!   conservative co-shard rule was costing (experiment P12,
-//!   `BENCH_6.json`).
+//!   home-replica upgraded plan (`ShardPlan::with_certificate_upgraded`,
+//!   run through `ShardedExecutor::apply_planned` into a maintained
+//!   view): every receiver runs on its receiving drinker's shard, zero
+//!   coordinator fallbacks, so the `sharded` vs `sharded-upgraded` pair
+//!   prices exactly what the conservative co-shard rule was costing
+//!   (experiment P12, `BENCH_6.json`). In steady state the wave's net
+//!   log is empty, so the view replay adds one empty flush per wave.
 //!
 //! The win measured here is algorithmic — gross op traffic avoided per
 //! wave — so the curves remain meaningful even on a single hardware core;
@@ -192,10 +194,7 @@ fn seq_vs_shard(c: &mut Criterion) {
             for &t in &threads {
                 let wave = wave_for(&s, scale, t, dist, 0xB5EE);
                 receivers_rt::set_num_threads(Some(t));
-                let cfg = ShardConfig {
-                    shards: Some(t),
-                    ..ShardConfig::default()
-                };
+                let cfg = ShardConfig { shards: Some(t) };
 
                 // Same receivers, same result, two execution strategies —
                 // checked on the cold path before anything is timed: a
@@ -253,21 +252,31 @@ fn seq_vs_shard(c: &mut Criterion) {
                         0,
                         "upgrade must localize every xs receiver"
                     );
-                    let up_cfg = ShardConfig {
-                        upgrade: true,
-                        ..cfg.clone()
-                    };
                     let mut up_inst = i.clone();
-                    let mut up_exec = ShardedExecutor::new(&m, &up_cfg);
-                    let out = up_exec.apply(&mut up_inst, &wave);
+                    let mut up_view = DatabaseView::new(&up_inst);
+                    let mut up_exec = ShardedExecutor::new(&m, &cfg);
+                    let out = up_exec.apply_planned(&mut up_inst, &mut up_view, &wave, &plan);
                     assert_eq!(out, InPlaceOutcome::Applied);
                     assert_eq!(up_inst, seq_inst, "{dist}/{scale}/t{t} upgraded");
                     group.bench_with_input(
                         BenchmarkId::new(format!("sharded-upgraded/{dist}"), &case),
                         &wave,
-                        |b, wave| b.iter(|| black_box(up_exec.apply(&mut up_inst, wave))),
+                        |b, wave| {
+                            b.iter(|| {
+                                black_box(up_exec.apply_planned(
+                                    &mut up_inst,
+                                    &mut up_view,
+                                    wave,
+                                    &plan,
+                                ))
+                            })
+                        },
                     );
                     assert_eq!(up_inst, seq_inst, "{dist}/{scale}/t{t} upgraded post-bench");
+                    assert!(
+                        up_view.matches_rebuild(&up_inst),
+                        "{dist}/{scale}/t{t} upgraded view"
+                    );
                 }
             }
         }

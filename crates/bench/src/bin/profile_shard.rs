@@ -101,7 +101,6 @@ fn main() {
     receivers_rt::set_num_threads(Some(shards));
     let cfg = ShardConfig {
         shards: Some(shards),
-        ..ShardConfig::default()
     };
     // One-shot: a fresh executor per wave, so the replica build is timed.
     time("sharded one-shot (t8)", 5, || {
@@ -127,13 +126,10 @@ fn main() {
     });
     assert_eq!(ex_inst, seq_inst);
 
-    let cfg_inline = ShardConfig {
-        shards: Some(shards),
-        pool: receivers_rt::ShardPoolConfig::default().with_workers(1),
-        ..ShardConfig::default()
-    };
+    // One worker: every segment runs inline on this thread.
+    receivers_rt::set_num_threads(Some(1));
     let mut ex2_inst = i.clone();
-    let mut exec2 = receivers_core::ShardedExecutor::new(&m, &cfg_inline);
+    let mut exec2 = receivers_core::ShardedExecutor::new(&m, &cfg);
     exec2.apply(&mut ex2_inst, &order);
     time("executor steady wave (8 shards, inline)", 10, || {
         exec2.apply(&mut ex2_inst, &order)

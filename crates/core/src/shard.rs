@@ -1,4 +1,4 @@
-//! Coloring-certified sharded execution: per-shard worker loops over a
+//! Coloring-certified sharded execution: per-shard lanes over a
 //! hash-partitioned object base.
 //!
 //! Sequential application `M(I, t₁…tₙ)` funnels every receiver through one
@@ -37,12 +37,15 @@
 //!    the database per shard — written properties filtered to the shard's
 //!    rows, everything else a copy-on-write clone — so a point edit costs
 //!    `O(E/n)` instead of `O(E)`. Each segment of consecutive Local
-//!    receivers fans out over [`receivers_rt::shard_map`] worker loops, one
-//!    per shard; a coordinated receiver evaluates against its receiving
-//!    object's home replica. Receivers record the **netted** delta against
-//!    their replica (what changed, not the gross rewrite) and never touch
-//!    shared state. Replicas outlive a wave, so a stream of waves pays the
-//!    `O(E)` build once; one-shot use is an executor used once.
+//!    receivers makes one [`receivers_rt::shard_map`] call: scoped workers,
+//!    spawned for that segment, claim whole shards from one cursor and run
+//!    each shard's receivers in order (segments under 64 receivers run
+//!    inline on the caller's thread). A coordinated receiver evaluates
+//!    against its receiving object's home replica. Receivers record the
+//!    **netted** delta against their replica (what changed, not the gross
+//!    rewrite) and never touch shared state. Replicas outlive a wave, so a
+//!    stream of waves pays the `O(E)` build once; one-shot use is an
+//!    executor used once.
 //!
 //! 5. **Merge.** After the join, per-shard logs are replayed into the real
 //!    instance with [`redo_ops`] in shard order and appended to the wave's
@@ -66,10 +69,11 @@
 //! included.
 
 use std::borrow::Cow;
+use std::time::Instant;
 
 use receivers_objectbase::{
-    redo_ops, undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, Oid, PropId,
-    Receiver, UpdateMethod,
+    redo_ops, sorted_diff, undo_ops, DeltaObserver, DeltaOp, Edge, InPlaceOutcome, Instance, Oid,
+    PropId, Receiver, UpdateMethod,
 };
 use receivers_obs as obs;
 use receivers_relalg::database::Database;
@@ -131,7 +135,7 @@ pub struct ShardCertificate {
 
 impl ShardCertificate {
     /// `true` when every receiver whose components share a shard may run
-    /// on that shard's worker loop: no conflict remains undischarged.
+    /// on that shard's lane: no conflict remains undischarged.
     pub fn shard_safe(&self) -> bool {
         self.conflicts.is_subset(&self.discharged)
     }
@@ -176,7 +180,7 @@ pub fn certify(method: &AlgebraicMethod) -> ShardCertificate {
 /// Where one receiver of the order executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Assignment {
-    /// On the worker loop of this shard (all components co-sharded, method
+    /// On the lane of this shard (all components co-sharded, method
     /// certified).
     Local(u32),
     /// On the ordered coordinator path — the sequential body, acting as a
@@ -209,27 +213,7 @@ impl ShardPlan {
         order: &[Receiver],
         shards: usize,
     ) -> Self {
-        C_PLANS.incr();
-        let shards = shards.max(1);
-        let safe = certificate.shard_safe();
-        let assignments = order
-            .iter()
-            .map(|t| {
-                if !safe {
-                    return Assignment::Coordinated;
-                }
-                let home = shard_of(t.receiving_object(), shards);
-                if t.objects().iter().all(|&o| shard_of(o, shards) == home) {
-                    Assignment::Local(home as u32)
-                } else {
-                    Assignment::Coordinated
-                }
-            })
-            .collect();
-        Self {
-            shards,
-            assignments,
-        }
+        Self::assign(certificate, order, shards, false)
     }
 
     /// [`ShardPlan::with_certificate`] with the **home-replica upgrade**:
@@ -245,13 +229,22 @@ impl ShardPlan {
     /// replica holds and keeps current. So evaluating on the receiving
     /// object's home shard is exact wherever the arguments live, and the
     /// cross-shard merge stays disjoint because writes are keyed by the
-    /// receiving object. Opt-in rather than the default so existing
-    /// plans (and their differential baselines) are unchanged unless a
-    /// caller asks for the upgrade.
+    /// receiving object. An upgraded plan runs through
+    /// [`ShardedExecutor::apply_planned`]; the executor's own
+    /// [`plan`](ShardedExecutor::plan) keeps the co-shard rule.
     pub fn with_certificate_upgraded(
         certificate: &ShardCertificate,
         order: &[Receiver],
         shards: usize,
+    ) -> Self {
+        Self::assign(certificate, order, shards, true)
+    }
+
+    fn assign(
+        certificate: &ShardCertificate,
+        order: &[Receiver],
+        shards: usize,
+        upgrade: bool,
     ) -> Self {
         C_PLANS.incr();
         let shards = shards.max(1);
@@ -263,10 +256,14 @@ impl ShardPlan {
                     return Assignment::Coordinated;
                 }
                 let home = shard_of(t.receiving_object(), shards);
-                if !t.objects().iter().all(|&o| shard_of(o, shards) == home) {
+                if t.objects().iter().all(|&o| shard_of(o, shards) == home) {
+                    Assignment::Local(home as u32)
+                } else if upgrade {
                     C_UPGRADED.incr();
+                    Assignment::Local(home as u32)
+                } else {
+                    Assignment::Coordinated
                 }
-                Assignment::Local(home as u32)
             })
             .collect();
         Self {
@@ -310,17 +307,8 @@ impl ShardPlan {
 #[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
     /// Shard count; `None` follows [`rt::num_threads`] so the partition
-    /// matches the worker pool.
+    /// matches the worker count.
     pub shards: Option<usize>,
-    /// The worker-loop/batch-scheduler tuning, forwarded to
-    /// [`rt::shard_map`].
-    pub pool: rt::ShardPoolConfig,
-    /// Plan with [`ShardPlan::with_certificate_upgraded`]: shard-safe
-    /// methods run every receiver on its receiving object's home shard
-    /// instead of demoting cross-shard receivers to the coordinator.
-    /// Off by default so existing plans (and their differential
-    /// baselines) keep the conservative co-shard rule.
-    pub upgrade: bool,
 }
 
 /// One shard's contribution to a segment: the concatenated delta log of
@@ -331,9 +319,8 @@ struct ShardRun {
     err: Option<(usize, String)>,
     /// Receivers this lane applied.
     receivers: u64,
-    /// Batches pulled off the run queue.
-    batches: u64,
-    /// Nanoseconds parked on the run queue (see [`rt::ShardTasks::wait_ns`]).
+    /// Nanoseconds from the segment's fan-out to this lane's start (0
+    /// when untimed).
     wait_ns: u64,
     /// Wall nanoseconds inside the worker closure (0 when untimed).
     busy_ns: u64,
@@ -347,10 +334,9 @@ pub struct ShardLaneStats {
     pub shard: usize,
     /// Receivers applied on this lane.
     pub receivers: u64,
-    /// Batches the lane pulled off its run queue.
-    pub batches: u64,
-    /// Nanoseconds the lane spent parked waiting for the scheduler to
-    /// feed its shard (0 unless metrics or profiling are enabled).
+    /// Nanoseconds from each segment's fan-out until the lane started:
+    /// thread start-up and claim order on the worker path, the earlier
+    /// shards' run time on the inline path.
     pub wait_ns: u64,
     /// Wall nanoseconds the lane's worker closure ran for.
     pub busy_ns: u64,
@@ -365,7 +351,7 @@ pub struct WaveStats {
     pub local_receivers: u64,
     /// Receivers that fell back to the ordered coordinator path.
     pub coordinated_receivers: u64,
-    /// Maximal Local segments fanned out over the pool.
+    /// Maximal Local segments, each one [`rt::shard_map`] call.
     pub segments: u64,
     /// Per-shard lane measurements, indexed by shard.
     pub lanes: Vec<ShardLaneStats>,
@@ -381,19 +367,10 @@ impl DeltaObserver for NoView {
     fn batch_end(&mut self) {}
 }
 
-/// Reusable old/new successor buffers for the per-statement netted diff —
-/// one per worker, so the steady-state path (nothing changed) allocates
-/// nothing at all.
-#[derive(Default)]
-struct DiffScratch {
-    old: Vec<Oid>,
-    new: Vec<Oid>,
-}
-
 /// Apply one certified receiver against a shard replica: validate,
-/// evaluate, then per statement append the **netted** delta (current
-/// successors not in the new value are removed, new values not current
-/// are added, both ascending) to `log` and keep the replica current.
+/// evaluate, then per statement append the **netted** delta (the
+/// [`sorted_diff`] of the current successors against the new value, in
+/// ascending destination order) to `log` and keep the replica current.
 ///
 /// Statements are applied to the replica one at a time, so a later
 /// statement's current-value probe sees an earlier statement's edits —
@@ -409,7 +386,6 @@ fn apply_on_replica(
     replica: &mut DatabaseView,
     t: &Receiver,
     log: &mut Vec<DeltaOp>,
-    scratch: &mut DiffScratch,
 ) -> Result<(), String> {
     t.validate(method.signature(), instance)
         .map_err(|e| e.to_string())?;
@@ -417,51 +393,25 @@ fn apply_on_replica(
         .evaluate_on(replica.database(), t)
         .map_err(|e| e.to_string())?;
     let recv = t.receiving_object();
-    for (prop, values) in results {
-        let DiffScratch { old, new } = scratch;
-        old.clear();
-        old.extend(replica.database().prop_successors(prop, recv));
-        new.clear();
-        new.extend(values);
+    for (prop, mut new) in results {
         // A unary result column is already canonical (ascending,
         // distinct); guard the invariant rather than assume it.
         if !new.windows(2).all(|w| w[0] < w[1]) {
             new.sort_unstable();
             new.dedup();
         }
-        if old == new {
-            continue;
-        }
-        // Two-pointer set difference over the sorted buffers: removes
-        // first, then adds, both ascending.
         let start = log.len();
-        let (mut a, mut b) = (0, 0);
-        while a < old.len() {
-            match new.get(b) {
-                Some(&n) if n < old[a] => b += 1,
-                Some(&n) if n == old[a] => {
-                    a += 1;
-                    b += 1;
-                }
-                _ => {
-                    log.push(DeltaOp::RemovedEdge(Edge::new(recv, prop, old[a])));
-                    a += 1;
-                }
-            }
-        }
-        let (mut a, mut b) = (0, 0);
-        while b < new.len() {
-            match old.get(a) {
-                Some(&o) if o < new[b] => a += 1,
-                Some(&o) if o == new[b] => {
-                    a += 1;
-                    b += 1;
-                }
-                _ => {
-                    log.push(DeltaOp::AddedEdge(Edge::new(recv, prop, new[b])));
-                    b += 1;
-                }
-            }
+        let old = replica.database().prop_successors(prop, recv);
+        sorted_diff(old, new, |dst, add| {
+            let e = Edge::new(recv, prop, dst);
+            log.push(if add {
+                DeltaOp::AddedEdge(e)
+            } else {
+                DeltaOp::RemovedEdge(e)
+            });
+        });
+        if log.len() == start {
+            continue;
         }
         for op in &log[start..] {
             replica.applied(op);
@@ -529,8 +479,6 @@ pub struct ShardedExecutor<'m> {
     certificate: ShardCertificate,
     written: Vec<PropId>,
     shards: usize,
-    pool: rt::ShardPoolConfig,
-    upgrade: bool,
     replicas: Vec<std::sync::Mutex<Option<DatabaseView>>>,
     /// True while an apply is in flight; still true on the next apply
     /// only if the previous one panicked out mid-run, in which case the
@@ -561,8 +509,6 @@ impl<'m> ShardedExecutor<'m> {
             certificate,
             written: method.updated_properties(),
             shards,
-            pool: cfg.pool.clone(),
-            upgrade: cfg.upgrade,
             replicas: (0..shards).map(|_| std::sync::Mutex::new(None)).collect(),
             dirty: false,
         }
@@ -595,10 +541,11 @@ impl<'m> ShardedExecutor<'m> {
             .count()
     }
 
-    /// Build every missing replica from the instance: one `O(E)` shared
-    /// relational encoding, then a near-free copy-on-write clone plus a
+    /// Build every missing replica: one `O(E)` shared relational encoding
+    /// — `base` when the caller already maintains it, else built from the
+    /// instance — then a near-free copy-on-write clone plus a
     /// written-property prune per shard.
-    fn ensure_replicas(&mut self, instance: &Instance) {
+    fn ensure_replicas(&mut self, instance: &Instance, base: Option<&Database>) {
         if self.dirty {
             self.invalidate();
         }
@@ -606,7 +553,10 @@ impl<'m> ShardedExecutor<'m> {
         if self.replicas_built() == self.shards {
             return;
         }
-        let base = Database::from_instance(instance);
+        let base = base.map_or_else(
+            || Cow::Owned(Database::from_instance(instance)),
+            Cow::Borrowed,
+        );
         for (shard, cell) in self.replicas.iter().enumerate() {
             let mut slot = lock_replica(cell);
             if slot.is_none() {
@@ -621,20 +571,18 @@ impl<'m> ShardedExecutor<'m> {
         }
     }
 
-    /// The plan the executor runs `order` under: the co-shard rule, or the
-    /// home-replica upgrade when the config asks for it.
+    /// The plan the executor runs `order` under: the co-shard rule of
+    /// [`ShardPlan::with_certificate`]. An upgraded plan
+    /// ([`ShardPlan::with_certificate_upgraded`]) runs through
+    /// [`apply_planned`](Self::apply_planned).
     pub fn plan(&self, order: &[Receiver]) -> ShardPlan {
-        if self.upgrade {
-            ShardPlan::with_certificate_upgraded(&self.certificate, order, self.shards)
-        } else {
-            ShardPlan::with_certificate(&self.certificate, order, self.shards)
-        }
+        ShardPlan::with_certificate(&self.certificate, order, self.shards)
     }
 
     /// Apply `method` to each receiver of `order` in turn — semantically
     /// identical to the sequential path on the instance (same final
     /// instance, same outcome), with certified receivers on per-shard
-    /// worker loops and replicas carried over from previous applies.
+    /// lanes and replicas carried over from previous applies.
     pub fn apply(&mut self, instance: &mut Instance, order: &[Receiver]) -> InPlaceOutcome {
         if order.is_empty() {
             return InPlaceOutcome::Applied;
@@ -653,7 +601,9 @@ impl<'m> ShardedExecutor<'m> {
     /// [`AlgebraicMethod::apply_sequence_viewed`]. Tests and benches use
     /// it to force coordinator fallbacks ([`ShardPlan::coordinate`]) or an
     /// upgraded plan. The plan never overrides the certificate: a method
-    /// that is not shard-safe still takes the sequential path.
+    /// that is not shard-safe still takes the sequential path. Missing
+    /// replicas are pruned from `view`'s encoding, which must match the
+    /// instance, instead of a fresh one.
     pub fn apply_planned(
         &mut self,
         instance: &mut Instance,
@@ -673,7 +623,8 @@ impl<'m> ShardedExecutor<'m> {
         if !self.certificate.shard_safe() {
             return self.method.apply_sequence_viewed(instance, view, order);
         }
-        let (outcome, log) = self.run_wave(instance, order, Some(plan), None);
+        let (outcome, log) =
+            self.run_wave(instance, order, Some(plan), Some(view.database()), None);
         for op in &log {
             view.applied(op);
         }
@@ -722,40 +673,42 @@ impl<'m> ShardedExecutor<'m> {
     /// Public so program executors (the `sql::plan` sharded session) can
     /// replay the log into their own maintained views; the caller must
     /// hold a shard-safe certificate — this body runs certified receivers
-    /// on worker loops without the `apply` fallback check.
+    /// on shard lanes without the `apply` fallback check.
     pub fn apply_logged(
         &mut self,
         instance: &mut Instance,
         order: &[Receiver],
     ) -> (InPlaceOutcome, Vec<DeltaOp>) {
-        self.run_wave(instance, order, None, None)
+        self.run_wave(instance, order, None, None, None)
     }
 
     /// [`apply_logged`](Self::apply_logged), additionally measuring the
-    /// wave: per-lane receiver/batch counts, queue waits, and busy time,
-    /// plus the local/coordinated split. Identical results; the only
-    /// extra cost is one clock read per lane per segment.
+    /// wave: per-lane receiver counts, start waits, and busy time, plus
+    /// the local/coordinated split. Identical results; the only extra cost
+    /// is a few clock reads per lane per segment.
     pub fn apply_logged_stats(
         &mut self,
         instance: &mut Instance,
         order: &[Receiver],
     ) -> (InPlaceOutcome, Vec<DeltaOp>, WaveStats) {
         let mut stats = WaveStats::default();
-        let (outcome, log) = self.run_wave(instance, order, None, Some(&mut stats));
+        let (outcome, log) = self.run_wave(instance, order, None, None, Some(&mut stats));
         (outcome, log, stats)
     }
 
-    /// One wave under `plan` (the executor's own plan when `None`).
+    /// One wave under `plan` (the executor's own plan when `None`);
+    /// `base` is the caller's encoding of the instance, if it keeps one.
     fn run_wave(
         &mut self,
         instance: &mut Instance,
         order: &[Receiver],
         plan: Option<&ShardPlan>,
+        base: Option<&Database>,
         mut stats: Option<&mut WaveStats>,
     ) -> (InPlaceOutcome, Vec<DeltaOp>) {
         let _span = obs::span("core.shard.apply");
         let plan = plan.map_or_else(|| Cow::Owned(self.plan(order)), Cow::Borrowed);
-        self.ensure_replicas(instance);
+        self.ensure_replicas(instance, base);
         let mut seq_log: Vec<DeltaOp> = Vec::new();
         let mut i = 0;
         let mut failed: Option<String> = None;
@@ -771,15 +724,7 @@ impl<'m> ShardedExecutor<'m> {
                     let mut slot = lock_replica(&self.replicas[home]);
                     let replica = slot.as_mut().expect("ensure_replicas built every shard");
                     let mut log = Vec::new();
-                    let mut scratch = DiffScratch::default();
-                    match apply_on_replica(
-                        self.method,
-                        instance,
-                        replica,
-                        t,
-                        &mut log,
-                        &mut scratch,
-                    ) {
+                    match apply_on_replica(self.method, instance, replica, t, &mut log) {
                         Ok(()) => {
                             redo_ops(instance, &mut NoView, &log);
                             seq_log.extend(log);
@@ -850,49 +795,41 @@ impl<'m> ShardedExecutor<'m> {
         // receivers themselves (coordinated barriers can chop an order into
         // many short segments); short segments run inline on the caller.
         let total: usize = shard_items.iter().map(Vec::len).sum();
-        let pool = if total < 64 {
-            self.pool.clone().with_workers(1)
-        } else {
-            self.pool.clone()
-        };
+        let workers = if total < 64 { 1 } else { rt::num_threads() };
         let method = self.method;
         let replicas = &self.replicas;
         let inst: &Instance = instance;
-        let timed = stats.is_some();
+        let fan_out = stats.is_some().then(Instant::now);
 
-        let runs = rt::shard_map(shard_items, &pool, |shard, tasks| {
-            let lane_start = timed.then(std::time::Instant::now);
+        let runs = rt::shard_map(&shard_items, workers, |shard, items| {
+            if items.is_empty() {
+                return ShardRun::default();
+            }
+            let lane_start = fan_out.map(|t0| (t0, Instant::now()));
             // Shards are claimed exclusively, so the lock is uncontended;
             // it exists to hand each worker mutable access to its shard's
             // long-lived replica.
             let mut slot = lock_replica(&replicas[shard]);
             let replica = slot.as_mut().expect("ensure_replicas built every shard");
             let mut log: Vec<DeltaOp> = Vec::new();
-            let mut scratch = DiffScratch::default();
-            let (mut receivers, mut batches) = (0u64, 0u64);
-            while let Some(batch) = tasks.next_batch() {
-                batches += 1;
-                for (gi, t) in batch {
-                    if let Err(msg) =
-                        apply_on_replica(method, inst, replica, t, &mut log, &mut scratch)
-                    {
-                        return ShardRun {
-                            log: Vec::new(),
-                            err: Some((gi, msg)),
-                            ..ShardRun::default()
-                        };
-                    }
-                    C_LOCAL.incr();
-                    receivers += 1;
+            for &(gi, t) in items {
+                if let Err(msg) = apply_on_replica(method, inst, replica, t, &mut log) {
+                    return ShardRun {
+                        err: Some((gi, msg)),
+                        ..ShardRun::default()
+                    };
                 }
+                C_LOCAL.incr();
             }
+            let (wait_ns, busy_ns) = lane_start.map_or((0, 0), |(t0, t1)| {
+                ((t1 - t0).as_nanos() as u64, t1.elapsed().as_nanos() as u64)
+            });
             ShardRun {
                 log,
                 err: None,
-                receivers,
-                batches,
-                wait_ns: tasks.wait_ns(),
-                busy_ns: lane_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                receivers: items.len() as u64,
+                wait_ns,
+                busy_ns,
             }
         });
 
@@ -920,7 +857,6 @@ impl<'m> ShardedExecutor<'m> {
             }
             for (lane, run) in st.lanes.iter_mut().zip(&runs) {
                 lane.receivers += run.receivers;
-                lane.batches += run.batches;
                 lane.wait_ns += run.wait_ns;
                 lane.busy_ns += run.busy_ns;
                 st.local_receivers += run.receivers;
@@ -943,9 +879,9 @@ impl<'m> ShardedExecutor<'m> {
     }
 }
 
-/// Poison-surviving replica lock: a worker panic already aborts the run
-/// through the pool, so the replica state behind a poisoned mutex is
-/// discarded via `invalidate`, never trusted.
+/// Poison-surviving replica lock: a worker panic propagates out of the
+/// wave with `dirty` still set, so the replica state behind a poisoned
+/// mutex is discarded via `invalidate`, never trusted.
 fn lock_replica<T>(cell: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     cell.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -987,13 +923,9 @@ mod tests {
             .collect()
     }
 
-    fn cfg(shards: usize, workers: usize) -> ShardConfig {
+    fn cfg(shards: usize) -> ShardConfig {
         ShardConfig {
             shards: Some(shards),
-            pool: rt::ShardPoolConfig::default()
-                .with_workers(workers)
-                .with_batch_size(4),
-            ..ShardConfig::default()
         }
     }
 
@@ -1046,7 +978,7 @@ mod tests {
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 32);
         let mut view = DatabaseView::new(&i);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4));
         let out = exec.apply_planned(&mut i, &mut view, &order, &up);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
@@ -1082,7 +1014,7 @@ mod tests {
         assert_eq!(plan.coordinated_count(), 0);
         let mut i = crowd(&s, 24);
         let mut view = DatabaseView::new(&i);
-        let mut planned = ShardedExecutor::with_certificate(&m, cert.clone(), &cfg(4, 2));
+        let mut planned = ShardedExecutor::with_certificate(&m, cert.clone(), &cfg(4));
         let out = planned.apply_planned(&mut i, &mut view, &order, &plan);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
@@ -1090,7 +1022,7 @@ mod tests {
         i.check_index_consistent();
 
         let mut j = crowd(&s, 24);
-        let mut exec = ShardedExecutor::with_certificate(&m, cert, &cfg(4, 2));
+        let mut exec = ShardedExecutor::with_certificate(&m, cert, &cfg(4));
         assert_eq!(exec.apply(&mut j, &order), InPlaceOutcome::Applied);
         assert_eq!(j, reference);
         assert!(
@@ -1155,17 +1087,58 @@ mod tests {
             m.apply_in_place_sequence(&mut reference, &order),
             InPlaceOutcome::Applied
         );
-        for (shards, workers) in [(1, 1), (2, 2), (4, 2), (7, 3)] {
+        for shards in [1, 2, 4, 7] {
             let mut i = crowd(&s, 24);
             let mut view = DatabaseView::new(&i);
-            let mut exec = ShardedExecutor::new(&m, &cfg(shards, workers));
+            let mut exec = ShardedExecutor::new(&m, &cfg(shards));
             let plan = exec.plan(&order);
             let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
             assert_eq!(out, InPlaceOutcome::Applied);
-            assert_eq!(i, reference, "{shards} shards / {workers} workers");
+            assert_eq!(i, reference, "{shards} shards");
             assert!(view.matches_rebuild(&i));
             i.check_index_consistent();
         }
+    }
+
+    /// A segment of 64 Local receivers reaches the worker path (with
+    /// `rt::num_threads()` workers, pinned per run by the CI thread
+    /// matrix): same result as the sequential path, twice over so the
+    /// second wave runs against warm replicas, with every receiver
+    /// accounted to a lane.
+    #[test]
+    fn long_segments_run_on_worker_lanes() {
+        let s = beer_schema();
+        let m = add_bar(&s);
+        let order = receivers(&s, 64);
+        let plan = ShardPlan::with_certificate_upgraded(&certify(&m), &order, 4);
+        assert_eq!(plan.local_count(), 64, "one segment past the inline bound");
+        let mut reference = crowd(&s, 64);
+        let mut i = crowd(&s, 64);
+        let mut view = DatabaseView::new(&i);
+        let mut exec = ShardedExecutor::new(&m, &cfg(4));
+        for wave in 0..2 {
+            assert_eq!(
+                m.apply_in_place_sequence(&mut reference, &order),
+                InPlaceOutcome::Applied
+            );
+            let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
+            assert_eq!(out, InPlaceOutcome::Applied);
+            assert_eq!(i, reference, "wave {wave}");
+            assert!(view.matches_rebuild(&i), "wave {wave}");
+        }
+        i.check_index_consistent();
+
+        let wave = receivers(&s, 64);
+        let (out, _, stats) = exec.apply_logged_stats(&mut i, &wave);
+        assert_eq!(out, InPlaceOutcome::Applied);
+        assert_eq!(
+            stats.lanes.iter().map(|l| l.receivers).sum::<u64>(),
+            stats.local_receivers
+        );
+        assert_eq!(
+            stats.local_receivers + stats.coordinated_receivers,
+            wave.len() as u64
+        );
     }
 
     /// Forcing receivers onto the coordinator (the cross-shard fallback
@@ -1184,7 +1157,7 @@ mod tests {
         }
         let mut i = crowd(&s, 16);
         let mut view = DatabaseView::new(&i);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4));
         let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
         assert_eq!(out, InPlaceOutcome::Applied);
         assert_eq!(i, reference);
@@ -1205,7 +1178,7 @@ mod tests {
         let snapshot = i.clone();
         let mut view = DatabaseView::new(&i);
         let view_snapshot = view.clone();
-        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(3));
         let plan = exec.plan(&order);
         let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
         assert!(matches!(out, InPlaceOutcome::Undefined(_)));
@@ -1228,7 +1201,7 @@ mod tests {
         let m = add_bar(&s);
         let mut reference = crowd(&s, 24);
         let mut i = crowd(&s, 24);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4));
         // Three waves: fresh updates, a repeat (reconciliation no-ops),
         // and a skewed wave hammering one drinker.
         let hot: Vec<Receiver> = (1..=8)
@@ -1253,7 +1226,7 @@ mod tests {
         let s = beer_schema();
         let m = add_bar(&s);
         let mut i = crowd(&s, 12);
-        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(3));
         assert_eq!(
             exec.apply(&mut i, &receivers(&s, 12)),
             InPlaceOutcome::Applied
@@ -1301,7 +1274,7 @@ mod tests {
         let mut reference = crowd(&s, 6);
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 6);
-        let mut exec = ShardedExecutor::new(&m, &cfg(3, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(3));
         assert_eq!(exec.apply(&mut i, &order), InPlaceOutcome::Applied);
         assert_eq!(i, reference);
 
@@ -1330,7 +1303,7 @@ mod tests {
         let mut reference = crowd(&s, 10);
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 10);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4));
         assert_eq!(exec.apply(&mut i, &order), InPlaceOutcome::Applied);
         assert_eq!(i, reference);
         assert_eq!(exec.replicas_built(), 0);
@@ -1350,7 +1323,7 @@ mod tests {
         m.apply_in_place_sequence(&mut reference, &order);
         let mut i = crowd(&s, 10);
         let mut view = DatabaseView::new(&i);
-        let mut exec = ShardedExecutor::new(&m, &cfg(4, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(4));
         // A plan forged from the conflict-discharged certificate.
         let mut forged = certify(&m);
         assert!(forged.discharge(s.frequents));
@@ -1382,7 +1355,7 @@ mod tests {
         plan.coordinate(0);
         let mut i = crowd(&s, 8);
         let mut view = DatabaseView::new(&i);
-        let mut exec = ShardedExecutor::new(&m, &cfg(2, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(2));
         let out = exec.apply_planned(&mut i, &mut view, &order, &plan);
         let after = obs::metrics_snapshot();
         assert_eq!(out, InPlaceOutcome::Applied);
@@ -1409,7 +1382,7 @@ mod tests {
         let mut j = i.clone();
         let seq = m.apply_in_place_sequence(&mut i, &bad);
         let mut view = DatabaseView::new(&j);
-        let mut exec = ShardedExecutor::new(&m, &cfg(2, 2));
+        let mut exec = ShardedExecutor::new(&m, &cfg(2));
         let plan = exec.plan(&bad);
         let shard = exec.apply_planned(&mut j, &mut view, &bad, &plan);
         assert_eq!(seq, shard);

@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 
+use receivers_obs::export::json_str;
 use receivers_sql::span::{line_col, line_text};
 
 use crate::diag::{Diagnostic, Severity};
@@ -142,27 +143,6 @@ pub fn count(diags: &[Diagnostic]) -> (usize, usize, usize, usize) {
         of(Severity::Note),
         of(Severity::Help),
     )
-}
-
-/// RFC 8259 string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

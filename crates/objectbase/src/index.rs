@@ -29,8 +29,9 @@
 //! | full iteration               | `O(E)`      | `O(E)`           |
 //!
 //! `replace_successors` is the set-at-a-time write: it merge-diffs each
-//! row's old successors against its new values, so an unchanged value
-//! costs nothing, and applies the difference to each view in one pass.
+//! row's old successors against its new values ([`sorted_diff`]), so an
+//! unchanged value costs nothing, and applies the difference to each view
+//! in one pass.
 //! A view set that receives at least 8 edits, and edits on at least 1/8
 //! of its size, is rebuilt by one sorted merge; smaller edit sets are
 //! point edits.
@@ -48,6 +49,38 @@ use crate::delta::DeltaOp;
 use crate::item::Edge;
 use crate::oid::Oid;
 use crate::schema::PropId;
+
+/// Merge-diff two strictly ascending sequences in one pass: calls
+/// `edit(x, false)` for each `x` only in `old` and `edit(x, true)` for each
+/// `x` only in `new`, in ascending order of `x`; values in both are kept
+/// and cost nothing. This is the netting step of every successor rewrite
+/// — the set-at-a-time [`EdgeIndex`] write and the sharded executor's
+/// per-statement replica diff — so both emit one row's edits in the same
+/// canonical destination order.
+pub fn sorted_diff<T: Ord>(
+    old: impl IntoIterator<Item = T>,
+    new: impl IntoIterator<Item = T>,
+    mut edit: impl FnMut(T, bool),
+) {
+    let mut old = old.into_iter().peekable();
+    let mut new = new.into_iter().peekable();
+    loop {
+        // The smaller head is an edit: an old one is removed, a new one
+        // added; equal heads are kept untouched.
+        let add = match (old.peek(), new.peek()) {
+            (None, None) => return,
+            (Some(o), Some(n)) if o == n => {
+                old.next();
+                new.next();
+                continue;
+            }
+            (Some(o), Some(n)) => n < o,
+            (o, _) => o.is_none(),
+        };
+        let x = if add { new.next() } else { old.next() }.expect("peeked");
+        edit(x, add);
+    }
+}
 
 /// The three-way adjacency index over a set of edges.
 ///
@@ -149,23 +182,8 @@ impl EdgeIndex {
         for &(src, new) in rows {
             debug_assert!(new.windows(2).all(|w| w[0] < w[1]));
             let start = edits.len();
-            let old = self.fwd.get(&(src, p));
-            let mut old_it = old.into_iter().flatten().copied().peekable();
-            let mut new_it = new.iter().copied().peekable();
-            loop {
-                // The smaller head is an edit: an old one is removed, a
-                // new one added; equal heads are kept untouched.
-                let add = match (old_it.peek(), new_it.peek()) {
-                    (None, None) => break,
-                    (Some(o), Some(n)) if o == n => {
-                        old_it.next();
-                        new_it.next();
-                        continue;
-                    }
-                    (Some(o), Some(n)) => n < o,
-                    (old, _) => old.is_none(),
-                };
-                let dst = if add { new_it.next() } else { old_it.next() }.expect("peeked");
+            let old = self.fwd.get(&(src, p)).into_iter().flatten().copied();
+            sorted_diff(old, new.iter().copied(), |dst, add| {
                 let e = Edge::new(src, p, dst);
                 ops.push(if add {
                     DeltaOp::AddedEdge(e)
@@ -174,7 +192,7 @@ impl EdgeIndex {
                 });
                 edits.push((src, dst, add));
                 added += usize::from(add);
-            }
+            });
             let changes = edits.len() - start;
             if changes == 0 {
                 continue;
@@ -439,6 +457,22 @@ mod tests {
             PropId(p),
             Oid::new(ClassId(d % 3), d),
         )
+    }
+
+    /// The merge-diff reports exactly the symmetric difference, each value
+    /// once, interleaved in ascending order.
+    #[test]
+    fn sorted_diff_emits_the_symmetric_difference_in_order() {
+        let mut edits = Vec::new();
+        sorted_diff([1, 3, 4, 7], [2, 3, 7, 8, 9], |x, add| edits.push((x, add)));
+        assert_eq!(
+            edits,
+            [(1, false), (2, true), (4, false), (8, true), (9, true)]
+        );
+        let mut none = 0;
+        sorted_diff([5, 6], [5, 6], |_, _| none += 1);
+        sorted_diff(Vec::<u32>::new(), [], |_, _| none += 1);
+        assert_eq!(none, 0);
     }
 
     #[test]

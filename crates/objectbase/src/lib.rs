@@ -52,7 +52,7 @@ pub mod view;
 
 pub use delta::{redo_ops, undo_ops, DeltaOp, InstanceTxn};
 pub use error::{ObjectBaseError, Result};
-pub use index::EdgeIndex;
+pub use index::{sorted_diff, EdgeIndex};
 pub use instance::Instance;
 pub use item::{Edge, Item};
 pub use method::{FnMethod, InPlaceOutcome, MethodOutcome, UpdateMethod};

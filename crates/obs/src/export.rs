@@ -178,8 +178,10 @@ pub fn render_summary(snap: &MetricsSnapshot, spans: &[SpanEvent]) -> String {
     out
 }
 
-/// RFC 8259 string escaping.
-pub(crate) fn json_str(s: &str) -> String {
+/// RFC 8259 string escaping: `s` as a quoted JSON string literal. Shared
+/// by every hand-rolled JSON writer in the workspace (metrics, profiles,
+/// flight dumps, lint diagnostics).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

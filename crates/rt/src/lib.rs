@@ -1,13 +1,15 @@
 //! Deterministic fork-join primitives for the decision procedures.
 //!
 //! The external `rayon` crate is unavailable in this build environment, so
-//! this crate provides the three combinators the workspace actually needs,
+//! this crate provides the four combinators the workspace actually needs,
 //! built on `std::thread::scope`:
 //!
 //! * [`par_map`] — map over a slice, results in input order;
 //! * [`par_find_map_first`] — first (lowest-index) `Some`, with
 //!   cross-thread early exit;
-//! * [`par_join`] — run two closures concurrently.
+//! * [`par_join`] — run two closures concurrently;
+//! * [`shard_map`] — one call per pre-partitioned shard, whole shards
+//!   claimed from a shared cursor, results in shard order.
 //!
 //! **Determinism.** Every combinator returns exactly what its sequential
 //! counterpart would: `par_map` preserves order, `par_find_map_first`
@@ -36,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(feature = "parallel")]
 use std::sync::Mutex;
 
-pub use shard::{shard_map, ShardPoolConfig, ShardTasks};
+pub use shard::shard_map;
 
 obs::counter!(C_PAR_MAP_CALLS, "rt.par_map.calls");
 obs::counter!(C_TASKS_SPAWNED, "rt.tasks_spawned");

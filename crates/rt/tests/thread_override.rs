@@ -30,23 +30,17 @@ fn thread_count_knobs() {
     std::env::remove_var("RECEIVERS_RT_THREADS");
     assert!(receivers_rt::num_threads() >= 1, "detection fallback");
 
-    // A forced worker count drives shard_map without losing per-shard
-    // order or completeness.
+    // The override steers the worker count a caller hands to shard_map
+    // without changing per-shard order or completeness.
+    let shards: Vec<Vec<u32>> = (0..6u32)
+        .map(|s| (0..40).map(|k| s * 100 + k).collect())
+        .collect();
     for workers in [1usize, 2, 4] {
         receivers_rt::set_num_threads(Some(workers));
-        let shards: Vec<Vec<u32>> = (0..6u32)
-            .map(|s| (0..40).map(|k| s * 100 + k).collect())
-            .collect();
-        let expect = shards.clone();
-        let cfg = receivers_rt::ShardPoolConfig::default().with_batch_size(7);
-        let out = receivers_rt::shard_map(shards, &cfg, |_s, tasks| {
-            let mut seen = Vec::new();
-            while let Some(batch) = tasks.next_batch() {
-                seen.extend(batch);
-            }
-            seen
+        let out = receivers_rt::shard_map(&shards, receivers_rt::num_threads(), |_s, items| {
+            items.to_vec()
         });
-        assert_eq!(out, expect, "workers={workers}");
+        assert_eq!(out, shards, "workers={workers}");
     }
     receivers_rt::set_num_threads(None);
 }

@@ -1710,15 +1710,14 @@ impl Placement {
         node.set_metric("local_receivers", w.local_receivers);
         node.set_metric("coordinated_receivers", w.coordinated_receivers);
         node.set_metric("segments", w.segments);
-        for lane in w.lanes.iter().filter(|l| l.receivers > 0 || l.batches > 0) {
+        for lane in w.lanes.iter().filter(|l| l.receivers > 0) {
             let mut ln = obs::ProfileNode::new(format!("shard {}", lane.shard), "shard-lane");
             ln.start_ns = start_ns;
             ln.wall_ns = lane.busy_ns;
             ln.rows_in = lane.receivers;
             ln.rows_out = lane.receivers;
             ln.set_metric("receivers", lane.receivers);
-            ln.set_metric("batches", lane.batches);
-            ln.set_metric("queue_wait_ns", lane.wait_ns);
+            ln.set_metric("claim_wait_ns", lane.wait_ns);
             node.children.push(ln);
         }
     }
@@ -2129,7 +2128,7 @@ impl ShardSession<'_> {
     /// [`ShardSession::execute`] with **EXPLAIN ANALYZE** attached:
     /// certified stages report how the wave split between the per-shard
     /// worker lanes and the ordered coordinator path, with one `shard N`
-    /// child per active lane (receivers, batches, queue wait, busy time).
+    /// child per active lane (receivers, claim wait, busy time).
     pub fn execute_profiled(
         &mut self,
         instance: &mut Instance,
@@ -2245,10 +2244,7 @@ mod tests {
         for shards in [None, Some(1), Some(2), Some(3)] {
             for profiled in [false, true] {
                 let mut i = i0.clone();
-                let mut session = plan.shard_session(ShardConfig {
-                    shards,
-                    ..ShardConfig::default()
-                });
+                let mut session = plan.shard_session(ShardConfig { shards });
                 let failed = if profiled {
                     session.execute_profiled(&mut i).map(|(o, _)| o)
                 } else {
@@ -2260,6 +2256,40 @@ mod tests {
                 assert!(session.view().is_some_and(|v| v.matches_rebuild(&i)));
             }
         }
+    }
+
+    /// EXPLAIN ANALYZE stamps one `shard-lane` child per lane that
+    /// applied receivers, keyed `receivers` and `claim_wait_ns`.
+    #[test]
+    fn placement_stamps_one_node_per_active_lane() {
+        use receivers_core::shard::ShardLaneStats;
+        let lane = |shard, receivers| ShardLaneStats {
+            shard,
+            receivers,
+            wait_ns: 5,
+            busy_ns: 7,
+        };
+        let placement = Placement {
+            sharded: true,
+            wave: Some(WaveStats {
+                local_receivers: 3,
+                coordinated_receivers: 1,
+                segments: 1,
+                lanes: vec![lane(0, 3), lane(1, 0)],
+            }),
+        };
+        let mut node = obs::ProfileNode::new("stage 1", "stage");
+        placement.stamp(&mut node, 0);
+        assert_eq!(node.metric("local_receivers"), Some(3));
+        assert_eq!(node.children.len(), 1, "idle lanes get no node");
+        let ln = &node.children[0];
+        assert_eq!(
+            (ln.name.as_str(), ln.kind.as_str()),
+            ("shard 0", "shard-lane")
+        );
+        assert_eq!(ln.metric("receivers"), Some(3));
+        assert_eq!(ln.metric("claim_wait_ns"), Some(5));
+        assert_eq!(ln.wall_ns, 7);
     }
 
     /// The improve pass collapses the paper's cursor update (B) into one

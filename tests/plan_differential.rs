@@ -394,10 +394,7 @@ fn check_driver(
     .unwrap_or_else(|e| panic!("store creation failed (seed {seed}): {e}"));
     let mut view = DatabaseView::new(&got);
     let mut session = match driver {
-        Driver::Session { shards, .. } => Some(plan.shard_session(ShardConfig {
-            shards,
-            ..ShardConfig::default()
-        })),
+        Driver::Session { shards, .. } => Some(plan.shard_session(ShardConfig { shards })),
         _ => None,
     };
     let waves = match driver {

@@ -17,7 +17,8 @@
 //!   ([`ShardPlan::with_certificate_upgraded`]): shard-safe methods run
 //!   every receiver shard-locally, co-sharded arguments or not;
 //! * a long order (the receivers cycled past the small-segment inline
-//!   threshold) at 2 shards × 2 workers, so real worker loops and the
+//!   threshold) at 2 shards, so the worker lanes (`rt::num_threads()`
+//!   workers, which the CI thread matrix pins to 2/4/8) and the
 //!   deterministic merge run inside the differential;
 //! * a persistent [`ShardedExecutor`] across two waves, against the
 //!   sequential driver applied twice;
@@ -253,7 +254,6 @@ fn run_triple(seed: u64) {
     for shards in [1usize, 2, 3, 7] {
         let cfg = ShardConfig {
             shards: Some(shards),
-            ..ShardConfig::default()
         };
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
@@ -277,10 +277,7 @@ fn run_triple(seed: u64) {
     // Forced coordinator fallbacks: demote a random subset of receivers
     // (and always at least one) to the ordered coordinator path.
     {
-        let cfg = ShardConfig {
-            shards: Some(3),
-            ..ShardConfig::default()
-        };
+        let cfg = ShardConfig { shards: Some(3) };
         let mut plan = ShardPlan::new(&method, &order, 3);
         plan.coordinate(rng.random_range(0..order.len()));
         for idx in 0..order.len() {
@@ -325,10 +322,7 @@ fn run_triple(seed: u64) {
                  method (seed {seed})"
             );
         }
-        let cfg = ShardConfig {
-            shards: Some(3),
-            ..ShardConfig::default()
-        };
+        let cfg = ShardConfig { shards: Some(3) };
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
         let out = ShardedExecutor::new(&method, &cfg).apply_planned(
@@ -344,17 +338,13 @@ fn run_triple(seed: u64) {
         );
     }
 
-    // A long order crosses the small-segment inline threshold, so real
-    // worker loops and the deterministic per-shard merge run here.
+    // A long order crosses the small-segment inline threshold, so the
+    // worker lanes and the deterministic per-shard merge run here.
     {
         let long_order: Vec<Receiver> = order.iter().cycle().take(96).cloned().collect();
         let mut long_ref = instance.clone();
         let long_out_ref = method.apply_in_place_sequence(&mut long_ref, &long_order);
-        let cfg = ShardConfig {
-            shards: Some(2),
-            pool: receivers::rt::ShardPoolConfig::default().with_workers(2),
-            ..ShardConfig::default()
-        };
+        let cfg = ShardConfig { shards: Some(2) };
         let mut sharded = instance.clone();
         let out = ShardedExecutor::new(&method, &cfg).apply(&mut sharded, &long_order);
         assert_identical(&out, &long_out_ref, &sharded, &long_ref, seed, "long order");
@@ -362,10 +352,7 @@ fn run_triple(seed: u64) {
 
     // Persistent executor across two waves vs the sequential driver
     // applied twice.
-    let cfg = ShardConfig {
-        shards: Some(3),
-        ..ShardConfig::default()
-    };
+    let cfg = ShardConfig { shards: Some(3) };
     let mut ref2 = instance.clone();
     let mut out_ref2 = method.apply_in_place_sequence(&mut ref2, &order);
     if matches!(out_ref2, InPlaceOutcome::Applied) {
@@ -398,10 +385,7 @@ fn run_triple(seed: u64) {
         );
         assert_eq!(seq, reference, "sequential rollback (seed {seed})");
 
-        let cfg = ShardConfig {
-            shards: Some(2),
-            ..ShardConfig::default()
-        };
+        let cfg = ShardConfig { shards: Some(2) };
         let mut sharded = reference.clone();
         let out = ShardedExecutor::new(&method, &cfg).apply(&mut sharded, &poisoned);
         assert_identical(&out, &out_seq, &sharded, &reference, seed, "ghost one-shot");
@@ -548,7 +532,6 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
         );
         let cfg = ShardConfig {
             shards: Some(shards),
-            ..ShardConfig::default()
         };
         let mut sharded = instance.clone();
         let mut view = DatabaseView::new(&sharded);
@@ -569,10 +552,7 @@ fn solver_discharged_cursor_update_shards_bit_identically() {
     }
 
     // The persistent executor accepts the discharged certificate too.
-    let cfg = ShardConfig {
-        shards: Some(3),
-        ..ShardConfig::default()
-    };
+    let cfg = ShardConfig { shards: Some(3) };
     let mut ex_inst = instance.clone();
     let mut exec = ShardedExecutor::with_certificate(method, cert.certificate.clone(), &cfg);
     let out = exec.apply(&mut ex_inst, &order);

@@ -531,7 +531,6 @@ fn run_triple(seed: u64) {
     if seed.is_multiple_of(2) {
         let scfg = ShardConfig {
             shards: Some(1 + (seed % 3) as usize),
-            ..ShardConfig::default()
         };
         let mut exec = ShardedExecutor::new(&method, &scfg);
         let mut si = instance.clone();
@@ -787,10 +786,7 @@ fn sharded_ghost_wave_recovers_to_the_pre_sequence_state() {
     ];
 
     let cfg = WalConfig::default();
-    let scfg = ShardConfig {
-        shards: Some(2),
-        ..ShardConfig::default()
-    };
+    let scfg = ShardConfig { shards: Some(2) };
     let mut exec = ShardedExecutor::new(&m, &scfg);
     let mut working = i.clone();
     let mut store = DurableStore::create(FaultStorage::new(), Arc::clone(&s.schema), cfg, &working)
